@@ -21,7 +21,7 @@ SEED = 42
 spec = PoissonFlowSpec(lambda_limit=1.2, mu_market=1.0, theta_cancel=0.4)
 print(f"flow: per-side event rate {spec.total_rate}, P[+1] = {spec.p_positive:.3f}")
 
-times, sides, deltas = gen_poisson_flow(spec, horizon=600.0, seed=SEED, arrays=True)
+times, sides, deltas = gen_poisson_flow(spec, horizon=600.0, seed=SEED)
 print(f"generated {len(times)} events over 600 time units")
 
 initial = BookState(bid_price_ticks=1000, tick=0.01, q_bid=5.0, q_ask=5.0)

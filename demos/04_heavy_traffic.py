@@ -42,7 +42,7 @@ for row in net_flow_fclt_check(spec, [100, 1000, 10_000], reps=400, seed=SEED):
 n = 2000
 root = np.sqrt(n)
 horizon = 2.0
-times, sides, deltas = gen_poisson_flow(spec, horizon=n * horizon, seed=SEED, arrays=True)
+times, sides, deltas = gen_poisson_flow(spec, horizon=n * horizon, seed=SEED)
 initial = BookState(0, 1.0, q_bid=1.0 * root, q_ask=1.0 * root)
 rule = exponential_reinit(1.0 * root, 1.0 * root)
 path, _ = replay((times, sides, deltas), initial, rule, np.random.default_rng(SEED))
@@ -70,7 +70,7 @@ reps = 30
 d_moves, d_term = [], []
 l_moves, l_term = [], []
 for r in range(reps):
-    ev = gen_poisson_flow(spec, horizon=n * horizon, seed=1000 + r, arrays=True)
+    ev = gen_poisson_flow(spec, horizon=n * horizon, seed=1000 + r)
     p_r, _ = replay(ev, initial, rule, np.random.default_rng(1000 + r))
     s_r = rescale_discrete(p_r, n)
     d_moves.append(len(p_r.jumps))

@@ -31,7 +31,7 @@ SEED = 3
 # mixed traders splitting volume half and half). The mix couples the two
 # sides: its flow correlation is exactly -1/3.
 spec = AgentMixSpec(m=0.2, l=0.3, gamma=0.5)
-times, sides, deltas = gen_agent_flow(spec, horizon=200_000.0, seed=SEED, arrays=True)
+times, sides, deltas = gen_agent_flow(spec, horizon=200_000.0, seed=SEED)
 sample = FlowSample.from_arrays(times, sides, deltas)
 print(f"simulated {len(times)} events "
       f"({len(sample.bid_times)} bid, {len(sample.ask_times)} ask)\n")

@@ -47,7 +47,7 @@ from .analytics import (
 from .book import PEGGED, BookState, ReinitRule, exponential_reinit, geometric_reinit, replay
 from .diffusion import DiffusionParams, first_hits, net_flow_fclt_check, simulate_Q
 from .estimation import FlowSample, estimate_report
-from .flows import AgentMixSpec, Dist, PoissonFlowSpec, gen_agent_flow, gen_poisson_flow
+from .flows import AgentMixSpec, Dist, PoissonFlowSpec, gen_flow
 from .io import (
     ConfigError,
     load_json,
@@ -226,12 +226,6 @@ def _reinit_from_config(block, where):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _gen_flow(flow_spec, horizon, seed):
-    if isinstance(flow_spec, PoissonFlowSpec):
-        return gen_poisson_flow(flow_spec, horizon, seed)
-    return gen_agent_flow(flow_spec, horizon, seed)
-
-
 def _params_from_target(mu, sigma):
     """DiffusionParams carrying an arbitrary (drift, covariance) target."""
     mu = np.asarray(mu, dtype=float)
@@ -277,6 +271,19 @@ def _provenance(seed, config_sha=None, **extra):
 def _out_path(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
+
+
+class _Laps:
+    """Wall seconds between successive `lap` calls, by stage name."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name):
+        now = time.perf_counter()
+        self.seconds[name] = now - self._last
+        self._last = now
 
 
 def _write_run_meta(args, command, started, timings):
@@ -347,30 +354,33 @@ def cmd_simulate_lob(args):
     )
     horizon = cfg["horizon"]
 
-    events = [] if horizon == 0 else _gen_flow(flow_spec, horizon, child_seed(seed, "flow"))
+    laps = _Laps()
+    events = gen_flow(flow_spec, horizon, child_seed(seed, "flow")) if horizon else ([], [], [])
+    laps.lap("gen")
     path, prices = replay(events, initial, rule, substream(seed, "replay"))
+    laps.lap("replay")
 
     write_events_csv(_out_path(args, "events.csv"), events)
+    laps.lap("write_events")
     write_queues_csv(_out_path(args, "queues.csv"), path)
+    laps.lap("write_queues")
     write_prices_csv(_out_path(args, "prices.csv"), prices)
+    laps.lap("write_prices")
 
+    n_events = len(events[0])
     summary = {
         "config": cfg,
         "provenance": _provenance(seed, sha),
-        "events": len(events),
+        "events": n_events,
         "price_changes": len(path.jumps),
-        "event_rate": (len(events) / horizon) if horizon > 0 else None,
+        "event_rate": (n_events / horizon) if horizon > 0 else None,
         "final_price_ticks": int(prices.price_ticks[-1]),
         "outputs": ["events.csv", "queues.csv", "prices.csv"],
     }
     write_json(_out_path(args, "summary.json"), summary)
-    _write_run_meta(args, "simulate-lob", started, {"total": time.perf_counter() - t0})
-    _emit_stdout(
-        args,
-        summary,
-        "events,price_changes",
-        [(len(events), len(path.jumps))],
-    )
+    total = time.perf_counter() - t0
+    _write_run_meta(args, "simulate-lob", started, {"total": total, **laps.seconds})
+    _emit_stdout(args, summary, "events,price_changes", [(n_events, len(path.jumps))])
     return 0
 
 
@@ -436,7 +446,7 @@ def _queue_marginal_check(flow_spec, qc, seed):
     disc = np.empty((reps, 2))
     diff = np.empty((reps, 2))
     for rep in range(reps):
-        events = _gen_flow(flow_spec, n * horizon, child_seed(seed, "qmarg-flow", rep))
+        events = gen_flow(flow_spec, n * horizon, child_seed(seed, "qmarg-flow", rep))
         path, _ = replay(events, initial, rule_disc, substream(seed, "qmarg-reinit", rep))
         disc[rep] = path.samples[-1, 1:] / root
         limit_path = simulate_Q(
@@ -774,14 +784,17 @@ def cmd_estimate(args):
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     cfg, sha = _load_config(args, _ESTIMATE_SCHEMA, required=False)
-    events = read_events_csv(args.input)
-    sample = FlowSample.from_events(events)
+    laps = _Laps()
+    times, sides, deltas = read_events_csv(args.input)
+    laps.lap("read")
+    sample = FlowSample.from_arrays(times, sides, deltas)
     report = estimate_report(
         sample,
         gamma1=cfg.get("gamma1", 1.0),
         lag_cut=cfg.get("lag_cut"),
         hill_k=cfg.get("hill_k"),
     )
+    laps.lap("estimate")
 
     doc = {
         "config": cfg,
@@ -795,7 +808,9 @@ def cmd_estimate(args):
     rows = []
     for key in ("lambda_b", "lambda_a", "vbar_b", "vbar_a", "v2_b", "v2_a", "rho", "hill_b", "hill_a"):
         e = report[key]
-        rows.append((key, e["value"], e["std_error"], e["n_used"]))
+        # an undefined estimate is null in the report and nan in the tables
+        value, se = (math.nan, math.nan) if e["value"] is None else (e["value"], e["std_error"])
+        rows.append((key, value, se, e["n_used"]))
     rows.append(("N", report["N"], "", ""))
     rows.append(("mu_b", report["mu"][0], "", ""))
     rows.append(("mu_a", report["mu"][1], "", ""))
@@ -807,7 +822,8 @@ def cmd_estimate(args):
         for name, value, se, n in rows:
             se_txt = repr(float(se)) if se != "" else ""
             fh.write(f"{name},{float(value)!r},{se_txt},{n}\n")
-    _write_run_meta(args, "estimate", started, {"total": time.perf_counter() - t0})
+    laps.lap("write")
+    _write_run_meta(args, "estimate", started, {"total": time.perf_counter() - t0, **laps.seconds})
     _emit_stdout(args, doc, "param,value,std_error,n_used", rows)
     return 0
 

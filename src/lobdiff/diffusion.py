@@ -61,6 +61,7 @@ from .book import (
     Jump,
     RegulatedPath,
 )
+from .flows import gen_flow
 
 __all__ = [
     "DiffusionParams",
@@ -499,7 +500,7 @@ def net_flow_fclt_check(
         finals = np.empty((reps, 2))
         incrs = np.empty((reps * k_incr, 2))
         for r in range(reps):
-            times, sides, deltas = _flow_columns(
+            times, sides, deltas = gen_flow(
                 flow_spec, n * horizon, child_seed(seed, "fclt", n, r)
             )
             grid = np.linspace(0.0, n * horizon, k_incr + 1)
@@ -538,23 +539,3 @@ def net_flow_fclt_check(
             )
         )
     return reports
-
-
-def _flow_columns(flow_spec, horizon, seed):
-    """Columnar event stream for any known flow spec."""
-    from .flows import (
-        AgentMixSpec,
-        HawkesFlowSpec,
-        PoissonFlowSpec,
-        gen_agent_flow,
-        gen_hawkes_flow,
-        gen_poisson_flow,
-    )
-
-    if isinstance(flow_spec, PoissonFlowSpec):
-        return gen_poisson_flow(flow_spec, horizon, seed, arrays=True)
-    if isinstance(flow_spec, AgentMixSpec):
-        return gen_agent_flow(flow_spec, horizon, seed, arrays=True)
-    if isinstance(flow_spec, HawkesFlowSpec):
-        return gen_hawkes_flow(flow_spec, horizon, seed, arrays=True)
-    raise TypeError(f"unsupported flow spec {type(flow_spec).__name__}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import ASK, BID
+from .book import ASK, BID, _as_columns
 from .diffusion import DiffusionParams, ScaledParams
 
 __all__ = [
@@ -33,11 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParamEstimate:
-    """Point estimate with a first-order standard error."""
+    """Point estimate with a first-order standard error; lag_cut is the
+    autocovariance truncation a long-run estimator used (None elsewhere)."""
 
     value: float
     std_error: float
     n_used: int
+    lag_cut: int | None = None
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -51,52 +53,28 @@ class ParamEstimate:
 class FlowSample:
     """One session of order events, split by side and held columnar.
 
-    Construct from per-side event lists (`FlowSample(bid_events, ask_events)`),
-    from one merged stream (:meth:`from_events`), or straight from columnar
-    arrays (:meth:`from_arrays`). Events must be time-ordered within each
-    side; an empty side is allowed but rejects any estimate that needs it.
+    Construct straight from columnar arrays (:meth:`from_arrays`), from one
+    merged stream (:meth:`from_events`), or from per-side streams
+    (`FlowSample(bid_events, ask_events)`), each validated as `book.replay`
+    validates its input. An empty side is allowed but rejects any estimate
+    that needs it.
     """
 
     def __init__(self, bid_events, ask_events):
-        self.bid_events = tuple(bid_events)
-        self.ask_events = tuple(ask_events)
-        self.bid_times = np.array([e.time for e in self.bid_events])
-        self.bid_sizes = np.array([e.delta for e in self.bid_events])
-        self.ask_times = np.array([e.time for e in self.ask_events])
-        self.ask_sizes = np.array([e.delta for e in self.ask_events])
-        for name, times in (("bid", self.bid_times), ("ask", self.ask_times)):
-            if len(times) > 1 and np.any(np.diff(times) < 0):
-                raise ValueError(f"{name} events must be sorted by time")
+        self.bid_times, _, self.bid_sizes = _as_columns(bid_events)
+        self.ask_times, _, self.ask_sizes = _as_columns(ask_events)
 
     @classmethod
     def from_events(cls, events):
-        """Split one merged, time-ordered event stream by side."""
-        return cls(
-            [e for e in events if e.side == BID],
-            [e for e in events if e.side == ASK],
-        )
+        """Split one merged stream by side: OrderEvents or a columnar triple."""
+        return cls.from_arrays(*_as_columns(events))
 
     @classmethod
     def from_arrays(cls, times, sides, deltas):
-        """Columnar constructor; sides as 0/1 or 'bid'/'ask' strings."""
-        times = np.asarray(times, dtype=float)
-        deltas = np.asarray(deltas, dtype=float)
-        sides = np.asarray(sides)
-        if sides.dtype.kind in "iub":
-            is_bid = sides == 0
-        else:
-            is_bid = sides == BID
-        sample = cls.__new__(cls)
-        sample.bid_events = None
-        sample.ask_events = None
-        sample.bid_times = times[is_bid]
-        sample.bid_sizes = deltas[is_bid]
-        sample.ask_times = times[~is_bid]
-        sample.ask_sizes = deltas[~is_bid]
-        for name, tarr in (("bid", sample.bid_times), ("ask", sample.ask_times)):
-            if len(tarr) > 1 and np.any(np.diff(tarr) < 0):
-                raise ValueError(f"{name} events must be sorted by time")
-        return sample
+        """Columnar constructor; sides coded 0 = bid, 1 = ask."""
+        times, sides, deltas = _as_columns((times, sides, deltas))
+        bid, ask = sides == 0, sides == 1
+        return cls((times[bid], sides[bid], deltas[bid]), (times[ask], sides[ask], deltas[ask]))
 
     def side(self, name):
         if name == BID:
@@ -180,8 +158,8 @@ def _moments_one_side(sizes, lag_cut, side_name):
     # Gaussian first-order approximation for a variance-type statistic.
     se_v2 = v2 * math.sqrt(2.0 * max(2 * lag_cut - 1, 1) / n)
     return (
-        ParamEstimate(vbar, se_mean, n),
-        ParamEstimate(v2, se_v2, n),
+        ParamEstimate(vbar, se_mean, n, lag_cut),
+        ParamEstimate(v2, se_v2, n, lag_cut),
     )
 
 
@@ -297,7 +275,7 @@ def estimate_rho(sample, lag_cut=None, alignment="merge"):
         )
         rho = math.copysign(1.0 - 1e-12, rho)
     se = (1.0 - rho * rho) * math.sqrt(max(2 * lag_cut - 1, 1) / n)
-    return ParamEstimate(rho, se, n)
+    return ParamEstimate(rho, se, n, lag_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +290,9 @@ def hill_estimator(sizes, k=None):
     estimates below 0.5 mean a finite-variance tail). k defaults to
     floor(n^0.6) and must stay below n/2; the 95% CI follows from the
     asymptotic normality of the statistic, se = value/sqrt(k). The statistic
-    is scale invariant.
+    is scale invariant. When the k + 1 largest absolute sizes are all equal,
+    as on a lattice of unit sizes, the tail carries no index information:
+    a RuntimeWarning is raised and value and std_error are NaN.
     """
     x = np.abs(np.asarray(sizes, dtype=float))
     x = x[x > 0]
@@ -324,6 +304,13 @@ def hill_estimator(sizes, k=None):
     if not 1 <= k < n / 2:
         raise ValueError(f"k must satisfy 1 <= k < n/2, got k={k} for n={n}")
     tail = np.sort(x)[-(k + 1):]
+    if tail[0] == tail[-1]:
+        warnings.warn(
+            f"the {k + 1} largest absolute sizes are all equal; "
+            "the Hill statistic is undefined on a tied tail",
+            RuntimeWarning,
+        )
+        return ParamEstimate(math.nan, math.nan, k)
     h = float(np.mean(np.log(tail[1:] / tail[0])))
     return ParamEstimate(h, h / math.sqrt(k), k)
 
@@ -340,7 +327,10 @@ class VarianceRatioTable:
 
     @property
     def max_min_ratio(self):
+        """Largest over smallest batch variance; None if the smallest is 0."""
         values = [v for _, v in self.rows]
+        if min(values) == 0:
+            return None
         return max(values) / min(values)
 
 
@@ -395,8 +385,10 @@ def estimate_report(sample, gamma1, lag_cut=None, hill_k=None):
     Runs every estimator, assembles the implied DiffusionParams, and maps
     them to the observation scale gamma1 (seconds) using the estimated mean
     inter-event time as gamma0. Estimates appear as {value, std_error,
-    n_used} objects; diagnostics carry the batch-variance ratios and the lag
-    cut actually used.
+    n_used} objects, with null for an undefined value; diagnostics carry the
+    batch-variance ratios, the lag cut of the size moments (`lag_cut`, the
+    larger side's when chosen per side), the cut each long-run estimator
+    used (`lag_cuts`), and which sides' Hill statistic met a tied tail.
     """
     lam_b, lam_a = estimate_rates(sample)
     (vbar_b, v2_b), (vbar_a, v2_a) = estimate_size_moments(sample, lag_cut)
@@ -414,12 +406,10 @@ def estimate_report(sample, gamma1, lag_cut=None, hill_k=None):
     )
     gamma0 = 0.5 * (1.0 / lam_b.value + 1.0 / lam_a.value)
     scaled = scaled_params(est, gamma0, gamma1)
-    used_lag = lag_cut if lag_cut is not None else max(
-        _default_lag_cut(sample.bid_sizes), _default_lag_cut(sample.ask_sizes)
-    )
 
     def as_dict(e):
-        return {"value": e.value, "std_error": e.std_error, "n_used": e.n_used}
+        value, se = (None, None) if math.isnan(e.value) else (e.value, e.std_error)
+        return {"value": value, "std_error": se, "n_used": e.n_used}
 
     ratio_b = variance_ratio_table(
         sample.bid_sizes, batches=_ratio_ladder(len(sample.bid_sizes))
@@ -443,7 +433,9 @@ def estimate_report(sample, gamma1, lag_cut=None, hill_k=None):
         "diagnostics": {
             "gamma0": gamma0,
             "gamma1": gamma1,
-            "lag_cut": used_lag,
+            "lag_cut": max(v2_b.lag_cut, v2_a.lag_cut),
+            "lag_cuts": {"size_moments": [v2_b.lag_cut, v2_a.lag_cut], "rho": rho.lag_cut},
+            "hill_tied_tail": [math.isnan(hill_b.value), math.isnan(hill_a.value)],
             "variance_ratio_bid": ratio_b.rows,
             "variance_ratio_ask": ratio_a.rows,
             "variance_ratio_max_min": [ratio_b.max_min_ratio, ratio_a.max_min_ratio],
@@ -452,5 +444,7 @@ def estimate_report(sample, gamma1, lag_cut=None, hill_k=None):
 
 
 def _ratio_ladder(n):
-    ladder = [b for b in (1, 10, 100, 1000, 10000) if 2 * b <= n]
+    """Batch sizes that leave at least ten batch sums each: with fewer, the
+    batch variance is too noisy to read, and two sums can tie at zero."""
+    ladder = [b for b in (1, 10, 100, 1000, 10000) if n // b >= 10]
     return ladder or [1]

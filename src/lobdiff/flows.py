@@ -2,10 +2,10 @@
 
 Every generator is a pure function of (spec, horizon-or-count, seed): the same
 inputs give the same stream, bit for bit, regardless of how many other
-generators have run. Event-stream generators return a list of
-`book.OrderEvent` by default; pass ``arrays=True`` for the columnar form
-(times, sides, deltas) with sides encoded 0 = bid / 1 = ask, which is the
-cheap representation for multi-million-event runs.
+generators have run. Event-stream generators return the columnar form
+(times, sides, deltas): float times, int8 sides (0 = bid, 1 = ask) and
+float signed sizes, which is what `book.replay`, `io.write_events_csv` and
+`estimation.FlowSample.from_arrays` take.
 
 Model classes
 -------------
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import events_to_list
 from ._rng import substream
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "gen_acd_durations",
     "gen_arch_volumes",
     "gen_agent_flow",
+    "gen_flow",
     "paired_events",
 ]
 
@@ -327,13 +327,6 @@ class AgentMixSpec:
 # Generators
 
 
-def _emit(times, sides, deltas, arrays):
-    sides = np.asarray(sides, dtype=np.int8)
-    if arrays:
-        return np.asarray(times, dtype=float), sides, np.asarray(deltas, dtype=float)
-    return events_to_list(times, sides, deltas)
-
-
 def _arrival_times(mean, horizon, rng, draw):
     """Cumulative arrival times <= horizon; `draw(rng, n)` yields durations."""
     n = int(horizon / mean * 1.15 + 10.0 * math.sqrt(horizon / mean) + 50)
@@ -344,7 +337,7 @@ def _arrival_times(mean, horizon, rng, draw):
     return t[t <= horizon]
 
 
-def gen_poisson_flow(spec, horizon, seed, arrays=False):
+def gen_poisson_flow(spec, horizon, seed):
     """Two independent per-side Poisson streams merged into one event stream.
 
     Per side, inter-event times are Exp(lambda + mu + theta) and each event is
@@ -364,7 +357,7 @@ def gen_poisson_flow(spec, horizon, seed, arrays=False):
     sides = np.concatenate([c[1] for c in cols])
     deltas = np.concatenate([c[2] for c in cols])
     order = np.argsort(times, kind="stable")
-    return _emit(times[order], sides[order], deltas[order], arrays)
+    return times[order], sides[order], deltas[order]
 
 
 class _Blocks:
@@ -395,7 +388,7 @@ class _Blocks:
         return float(v)
 
 
-def gen_hawkes_flow(spec, horizon, seed, arrays=False):
+def gen_hawkes_flow(spec, horizon, seed):
     """Exact thinning simulation of the self-exciting flow.
 
     Between events each intensity decays toward its base rate, so the
@@ -444,7 +437,7 @@ def gen_hawkes_flow(spec, horizon, seed, arrays=False):
     signs = np.where(rng.random(len(out_times)) < 0.5, 1.0, -1.0)
     types = np.asarray(out_types, dtype=np.int64)
     sides = (types % 2).astype(np.int8)
-    return _emit(np.asarray(out_times), sides, signs * sizes, arrays)
+    return np.asarray(out_times, dtype=float), sides, signs * sizes
 
 
 def gen_acd_durations(spec, count, seed):
@@ -518,7 +511,7 @@ def gen_arch_volumes(spec, count, seed):
     return out
 
 
-def paired_events(times, pairs, arrays=False):
+def paired_events(times, pairs):
     """Expand per-arrival signed size pairs into an event stream.
 
     Each row (V^b, V^a) becomes up to two events at the shared arrival time:
@@ -534,7 +527,7 @@ def paired_events(times, pairs, arrays=False):
     out_s = np.tile(np.array([0, 1], dtype=np.int8), len(times))
     out_d = pairs.reshape(-1)
     keep = out_d != 0.0
-    return _emit(out_t[keep], out_s[keep], out_d[keep], arrays)
+    return out_t[keep], out_s[keep], out_d[keep]
 
 
 def agent_pair_table(spec, count, seed_or_rng):
@@ -572,7 +565,7 @@ def agent_pair_table(spec, count, seed_or_rng):
     return pairs
 
 
-def gen_agent_flow(spec, horizon, seed, arrays=False):
+def gen_agent_flow(spec, horizon, seed):
     """Event stream of the agent mix: one arrival per duration draw, one or
     two events per arrival (mixed traders emit both legs at one timestamp,
     bid leg first)."""
@@ -583,4 +576,16 @@ def gen_agent_flow(spec, horizon, seed, arrays=False):
         spec.duration_dist.mean_value(), horizon, rng, spec.duration_dist.sample
     )
     pairs = agent_pair_table(spec, len(times), rng)
-    return paired_events(times, pairs, arrays)
+    return paired_events(times, pairs)
+
+
+def gen_flow(spec, horizon, seed):
+    """Event stream of any event-flow spec (Poisson, Hawkes or agent mix)."""
+    for spec_type, gen in (
+        (PoissonFlowSpec, gen_poisson_flow),
+        (HawkesFlowSpec, gen_hawkes_flow),
+        (AgentMixSpec, gen_agent_flow),
+    ):
+        if isinstance(spec, spec_type):
+            return gen(spec, horizon, seed)
+    raise TypeError(f"unsupported flow spec {type(spec).__name__}")

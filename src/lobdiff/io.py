@@ -10,10 +10,11 @@ JSONPath-style location, e.g. ``$.flow.lambda_limit: expected number``.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from .book import ASK, BID, OrderEvent
+from .book import _as_columns
 
 __all__ = [
     "ConfigError",
@@ -33,8 +34,10 @@ EVENTS_HEADER = "time,side,delta"
 QUEUES_HEADER = "time,q_bid,q_ask"
 PRICES_HEADER = "time,price_ticks"
 
-_SIDE_TO_LETTER = {BID: "b", ASK: "a"}
-_LETTER_TO_SIDE = {"b": BID, "a": ASK}
+_SIDE_LETTERS = ("b", "a")  # indexed by the 0 = bid / 1 = ask side code
+
+#: Rows formatted per write, so no whole-file list of row strings is built.
+_CHUNK_ROWS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -47,68 +50,99 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_events_csv(path, events):
-    """Write an order-event stream as `time,side,delta` rows."""
+def _write_rows(path, header, columns, row_format):
+    """Write equal-length columns as rows, formatting `_CHUNK_ROWS` at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVENTS_HEADER + "\n")
-        for ev in events:
-            fh.write(f"{_fmt(ev.time)},{_SIDE_TO_LETTER[ev.side]},{_fmt(ev.delta)}\n")
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [col[lo:lo + _CHUNK_ROWS].tolist() for col in columns]
+            fh.write("".join(map(row_format.format, *chunk)))
+
+
+def write_events_csv(path, events):
+    """Write an event stream (see `book.replay`) as `time,side,delta` rows."""
+    times, sides, deltas = _as_columns(events)
+    letters = np.array(_SIDE_LETTERS, dtype=object)[sides]
+    _write_rows(path, EVENTS_HEADER, (times, letters, deltas), "{!r},{},{!r}\n")
 
 
 def read_events_csv(path):
-    """Parse an order-event CSV into a list of OrderEvents.
+    """Parse an order-event CSV into columns (times, sides, deltas).
 
-    Malformed rows, unknown sides, and negative timestamps raise
-    ConfigError naming the offending file line (the header is line 1).
+    Sides come back as int8 codes (0 = bid, 1 = ask); values are exactly
+    `float` of each field, and blank lines are skipped. The tape must be
+    usable as it stands: a malformed row, an unknown side, a negative or
+    non-finite time, a time earlier than the one before, or a zero or
+    non-finite delta raises ConfigError naming the file line (the header is
+    line 1).
     """
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header != EVENTS_HEADER:
-            raise ConfigError(
-                f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {header!r}"
-            )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(parts)}"
-                )
-            try:
-                t = float(parts[0])
-                delta = float(parts[2])
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: non-numeric time or delta"
-                ) from None
-            if t < 0:
-                raise ConfigError(f"{path}: line {lineno}: negative timestamp {parts[0]}")
-            side = _LETTER_TO_SIDE.get(parts[1])
-            if side is None:
-                raise ConfigError(
-                    f"{path}: line {lineno}: side must be 'b' or 'a', got {parts[1]!r}"
-                )
-            events.append(OrderEvent(t, side, delta))
-    return events
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if body and (body[0] == "\n" or "\n\n" in body or body[-1] != "\n"):
+        body = "".join(line + "\n" for line in body.split("\n") if line)
+    # Each newline becomes a field of its own, so a row has exactly three
+    # fields iff every fourth field is a newline.
+    fields = body.replace("\n", ",\n,").split(",")
+    n = len(fields) // 4
+    try:
+        letters = np.array(fields[1::4], dtype=str)
+        if (
+            header == EVENTS_HEADER
+            and len(fields) == 4 * n + 1
+            and fields[3::4].count("\n") == n
+            and np.all((letters == "b") | (letters == "a"))
+        ):
+            times = np.array(fields[0:-1:4], dtype=float)
+            deltas = np.array(fields[2::4], dtype=float)
+            return _as_columns((times, (letters == "a").astype(np.int8), deltas))
+    except ValueError:
+        pass
+    _raise_at_bad_line(path, text)
+
+
+def _raise_at_bad_line(path, text):
+    """Walk the tape line by line and raise ConfigError at the first bad one."""
+    lines = text.split("\n")
+    if lines[0] != EVENTS_HEADER:
+        raise ConfigError(
+            f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {lines[0]!r}"
+        )
+    last = 0.0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"{where}: expected 3 fields, got {len(parts)}")
+        try:
+            t, delta = float(parts[0]), float(parts[2])
+        except ValueError:
+            raise ConfigError(f"{where}: non-numeric time or delta") from None
+        if t < 0:
+            raise ConfigError(f"{where}: negative timestamp {parts[0]}")
+        if not math.isfinite(t):
+            raise ConfigError(f"{where}: non-finite timestamp {parts[0]}")
+        if t < last:
+            raise ConfigError(f"{where}: time {parts[0]} is earlier than the line before")
+        if delta == 0 or not math.isfinite(delta):
+            raise ConfigError(f"{where}: delta must be finite and nonzero, got {parts[2]}")
+        if parts[1] not in _SIDE_LETTERS:
+            raise ConfigError(f"{where}: side must be 'b' or 'a', got {parts[1]!r}")
+        last = t
+    raise ConfigError(f"{path}: unreadable event tape")
 
 
 def write_queues_csv(path, regulated):
     """Write a RegulatedPath as `time,q_bid,q_ask` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(QUEUES_HEADER + "\n")
-        for t, qb, qa in regulated.samples:
-            fh.write(f"{_fmt(t)},{_fmt(qb)},{_fmt(qa)}\n")
+    columns = (regulated.times, regulated.q_bid, regulated.q_ask)
+    _write_rows(path, QUEUES_HEADER, columns, "{!r},{!r},{!r}\n")
 
 
 def write_prices_csv(path, price_path):
     """Write a PricePath as `time,price_ticks` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PRICES_HEADER + "\n")
-        for (t, p), ticks in zip(price_path.steps, price_path.price_ticks):
-            fh.write(f"{_fmt(t)},{int(ticks)}\n")
+    _write_rows(path, PRICES_HEADER, (price_path.times, price_path.price_ticks), "{!r},{}\n")
 
 
 def write_grid_csv(path, header, rows):

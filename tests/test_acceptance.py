@@ -426,7 +426,7 @@ def test_estimation_round_trip():
     # Compound-Poisson sides: rate 3.5 per side, mean size 1/7, unit squares.
     pois = PoissonFlowSpec(lambda_limit=2.0, mu_market=1.0, theta_cancel=0.5)
     horizon = 1_000_000 / 7.0
-    sample = FlowSample.from_arrays(*gen_poisson_flow(pois, horizon, seed=SEED + 1, arrays=True))
+    sample = FlowSample.from_arrays(*gen_poisson_flow(pois, horizon, seed=SEED + 1))
     lam_b = estimate_rates(sample)[0].value
     (vbar_p, v2_p), _ = estimate_size_moments(sample)
     rho_p = estimate_rho(sample)
@@ -445,7 +445,7 @@ def test_estimation_round_trip():
     # second moment 1/2; the flow correlation is exactly -1/3.
     spec = AgentMixSpec(m=0.2, l=0.3, gamma=0.5)
     sample6 = FlowSample.from_arrays(
-        *gen_agent_flow(spec, 1_000_000 / 1.5, seed=SEED + 2, arrays=True)
+        *gen_agent_flow(spec, 1_000_000 / 1.5, seed=SEED + 2)
     )
     lam = estimate_rates(sample6)[0].value
     (vbar_6, v2_6), _ = estimate_size_moments(sample6)
@@ -463,7 +463,7 @@ def test_estimation_round_trip():
     # The model correlation vs the estimator at ten million events.
     analytic_rho = agent_model_params(0.2, 0.3, 0.5, 1.0, 1.0, 1.0)[2]
     sample7 = FlowSample.from_arrays(
-        *gen_agent_flow(spec, 10_000_000 / 1.5, seed=SEED + 3, arrays=True)
+        *gen_agent_flow(spec, 10_000_000 / 1.5, seed=SEED + 3)
     )
     rho7 = estimate_rho(sample7)
     if abs(rho7.value / analytic_rho - 1) > 0.10:

@@ -6,6 +6,7 @@ by comparing every output file byte for byte across reruns, excluding the
 run_meta.json sidecar, which records wall-clock details by design.
 """
 
+import hashlib
 import json
 import math
 
@@ -80,6 +81,37 @@ def test_simulate_lob_is_byte_identical_across_reruns(tmp_path):
     assert run(["simulate-lob", "--config", cfg, "--out", out1]) == 0
     assert run(["simulate-lob", "--config", cfg, "--out", out2]) == 0
     assert all_outputs(out1) == all_outputs(out2)
+
+
+# sha256 of the simulate-lob outputs for SIM_CFG, recorded before the event
+# stream became columnar end to end; any change to the generated flow, the
+# replay arithmetic, the CSV/JSON formatting or the package version shows up
+# here.
+PINNED_SHA256 = {
+    "events.csv": "b708842b24f0e57d1aec716a29d9378d7ee9a80c9620f5623c14f499ee4312d6",
+    "queues.csv": "3bbddffe579f3d6ef699ec32fb103e3de6e6c078d09f9315ede2446c65612798",
+    "prices.csv": "88dede5c7c2db26c6220055f8da1070ee35053072e49d69450e238c8e0ca8bd0",
+    "summary.json": "1038d3ebb5e760b4b16fec7365dc87e39e0694c676035943a1c6072d9141b162",
+}
+
+
+def test_simulate_lob_outputs_match_pinned_hashes(tmp_path):
+    cfg = write_config(tmp_path, "sim.json", SIM_CFG)
+    out = tmp_path / "run"
+    assert run(["simulate-lob", "--config", cfg, "--out", out]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
+
+
+def test_simulate_lob_run_meta_times_each_stage(tmp_path):
+    cfg = write_config(tmp_path, "sim.json", SIM_CFG)
+    out = tmp_path / "run"
+    assert run(["simulate-lob", "--config", cfg, "--out", out]) == 0
+    seconds = json.loads((out / "run_meta.json").read_text())["runtime_seconds"]
+    stages = ("gen", "replay", "write_events", "write_queues", "write_prices")
+    assert set(seconds) == {"total", *stages}
+    assert all(seconds[k] >= 0 for k in stages)
+    assert sum(seconds[k] for k in stages) <= seconds["total"]
 
 
 def test_simulate_lob_seed_flag_overrides_config(tmp_path):
@@ -322,3 +354,52 @@ def test_estimate_is_deterministic(tmp_path):
     assert run(["estimate", out / "events.csv", "--out", e1]) == 0
     assert run(["estimate", out / "events.csv", "--out", e2]) == 0
     assert all_outputs(e1) == all_outputs(e2)
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("0.5,b,1.0\nnan,a,-1.0\n", 3),
+        ("0.5,b,1.0\n0.75,a,1.0\ninf,b,2.0\n", 4),
+        ("0.5,b,0.0\n", 2),
+        ("0.5,b,1.0\n0.75,a,nan\n", 3),
+        ("0.5,b,1.0\n0.75,a,-inf\n", 3),
+        ("0.5,b,1.0\n0.75,a,-1.0\n0.6,b,1.0\n", 4),
+    ],
+    ids=["nan-time", "inf-time", "zero-delta", "nan-delta", "inf-delta", "time-goes-back"],
+)
+def test_estimate_unusable_tape_names_line(tmp_path, capsys, rows, line):
+    p = tmp_path / "bad.csv"
+    p.write_text("time,side,delta\n" + rows)
+    assert run(["estimate", p, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_survives_tied_batch_sums(tmp_path):
+    # At this size and seed the ask side's two largest-batch sums tied, and
+    # the batch-variance ratio divided by zero.
+    flow = {"kind": "poisson", "lambda_limit": 1.2, "mu_market": 1.0, "theta_cancel": 0.4}
+    cfg = write_config(
+        tmp_path,
+        "sim.json",
+        {
+            "flow": flow,
+            "horizon": 8000.0,
+            "initial": {"q_bid": 5.0, "q_ask": 5.0},
+            "reinit": {"kind": "exponential", "mean_bid": 5.0, "mean_ask": 5.0},
+        },
+    )
+    out = tmp_path / "run"
+    assert run(["simulate-lob", "--config", cfg, "--seed", 104, "--out", out]) == 0
+    est_out = tmp_path / "est"
+    with pytest.warns(RuntimeWarning, match="tied tail"):
+        assert run(["estimate", out / "events.csv", "--out", est_out]) == 0
+    report = json.loads((est_out / "estimate_report.json").read_text())["report"]
+    diag = report["diagnostics"]
+    assert [b for b, _ in diag["variance_ratio_ask"]] == [1, 10, 100, 1000]
+    assert report["hill_b"]["value"] is None and report["hill_a"]["value"] is None
+    assert diag["hill_tied_tail"] == [True, True]
+    meta = json.loads((est_out / "run_meta.json").read_text())["runtime_seconds"]
+    assert set(meta) == {"total", "read", "estimate", "write"}

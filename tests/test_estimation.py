@@ -302,6 +302,15 @@ def test_hill_k_validation():
         hill_estimator([1.0, 2.0, 3.0])
 
 
+def test_hill_tied_unit_tail_is_nan_with_warning():
+    # +-1 sizes: every top order statistic equals 1, so there is no tail to read
+    sizes = np.where(np.random.default_rng(SEED).random(5000) < 0.5, 1.0, -1.0)
+    with pytest.warns(RuntimeWarning, match="tied tail"):
+        h = hill_estimator(sizes)
+    assert math.isnan(h.value) and math.isnan(h.std_error)
+    assert h.n_used == int(5000**0.6)
+
+
 # ---------------------------------------------------------------------------
 # Batch-variance diagnostic
 
@@ -332,6 +341,13 @@ def test_variance_ratio_detects_positive_dependence():
     # the column must climb from the marginal (~4/3) toward the long-run (4)
     assert values[0] < values[1] < values[2]
     assert table.max_min_ratio > 2.0
+
+
+def test_variance_ratio_zero_batch_variance_has_no_ratio():
+    # alternating +-1: every 2-sum is 0, so the smallest batch variance is 0
+    table = variance_ratio_table(np.tile([1.0, -1.0], 50), batches=(1, 2))
+    assert table.rows[1][1] == 0.0
+    assert table.max_min_ratio is None
 
 
 def test_variance_ratio_needs_two_batches():
@@ -450,3 +466,30 @@ def test_estimate_report_structure_and_consistency():
     assert len(report["mu"]) == 2
     assert np.asarray(report["Lambda"]).shape == (2, 2)
     assert report["diagnostics"]["lag_cut"] >= 1
+
+
+def test_estimate_report_records_lag_cuts_and_tied_tails():
+    # AR(1) bid sizes need a longer cut than the i.i.d. ask sizes
+    rng = np.random.default_rng(SEED)
+    n, phi = 20_000, 0.6
+    e = rng.standard_normal(n)
+    ar = np.empty(n)
+    ar[0] = e[0]
+    for i in range(1, n):
+        ar[i] = phi * ar[i - 1] + e[i]
+    ask = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    sample = two_sided(ar, ask, np.arange(n, dtype=float), np.arange(n) + 0.5)
+    with pytest.warns(RuntimeWarning, match="tied tail"):
+        report = estimate_report(sample, gamma1=10.0)
+    diag = report["diagnostics"]
+    cut_b, cut_a = diag["lag_cuts"]["size_moments"]
+    assert cut_b > cut_a >= 1
+    assert diag["lag_cut"] == max(cut_b, cut_a)
+    assert diag["lag_cuts"]["rho"] == estimate_rho(sample).lag_cut
+    assert diag["hill_tied_tail"] == [False, True]
+    assert report["hill_a"] == {"value": None, "std_error": None, "n_used": int(n**0.6)}
+    # with a fixed cut, every estimator uses it
+    with pytest.warns(RuntimeWarning, match="tied tail"):
+        fixed = estimate_report(sample, gamma1=10.0, lag_cut=3)["diagnostics"]
+    assert fixed["lag_cut"] == 3
+    assert fixed["lag_cuts"] == {"size_moments": [3, 3], "rho": 3}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lobdiff.book import ASK, BID
+from lobdiff.book import ASK, BID, events_to_list
 from lobdiff.flows import (
     ACDSpec,
     AgentMixSpec,
@@ -61,14 +61,14 @@ def halves_differ_se(x):
 def poisson_big():
     spec = PoissonFlowSpec(lambda_limit=2.0, mu_market=1.0, theta_cancel=1.0)
     # Per-side rate 4/s, merged 8/s: ~1e6 events.
-    return spec, gen_poisson_flow(spec, horizon=125_000.0, seed=SEED, arrays=True)
+    return spec, gen_poisson_flow(spec, horizon=125_000.0, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def hawkes_big():
     spec = HawkesFlowSpec(base_rates=(1.0,), excitation=((0.5,),), decay=(1.0,))
     # Stationary rate theta/(1 - delta/kappa) = 2/s: ~1e6 events.
-    return spec, gen_hawkes_flow(spec, horizon=500_000.0, seed=SEED, arrays=True)
+    return spec, gen_hawkes_flow(spec, horizon=500_000.0, seed=SEED)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def arch_big():
 @pytest.fixture(scope="module")
 def agent_big():
     spec = AgentMixSpec(m=0.2, l=0.3, gamma=0.5)
-    return spec, gen_agent_flow(spec, horizon=1_000_000.0, seed=SEED, arrays=True)
+    return spec, gen_agent_flow(spec, horizon=1_000_000.0, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def agent_big():
 def test_poisson_sign_probability_ratio():
     spec = PoissonFlowSpec(lambda_limit=1.5, mu_market=1.5, theta_cancel=1.5)
     assert spec.p_positive == pytest.approx(1.0 / 3.0)
-    _, _, deltas = gen_poisson_flow(spec, horizon=20_000.0, seed=SEED, arrays=True)
+    _, _, deltas = gen_poisson_flow(spec, horizon=20_000.0, seed=SEED)
     n = len(deltas)
     frac = np.mean(deltas > 0)
     assert abs(frac - 1 / 3) < 3 * math.sqrt((1 / 3) * (2 / 3) / n)
@@ -126,16 +126,16 @@ def test_poisson_sides_independent(poisson_big):
 
 def test_poisson_deterministic_and_forms_agree():
     spec = PoissonFlowSpec(2.0, 1.0, 1.0, unit_size=3.0)
-    t1, s1, d1 = gen_poisson_flow(spec, 50.0, seed=11, arrays=True)
-    t2, s2, d2 = gen_poisson_flow(spec, 50.0, seed=11, arrays=True)
+    t1, s1, d1 = gen_poisson_flow(spec, 50.0, seed=11)
+    t2, s2, d2 = gen_poisson_flow(spec, 50.0, seed=11)
     assert_array_equal(t1, t2)
     assert_array_equal(d1, d2)
-    events = gen_poisson_flow(spec, 50.0, seed=11)
+    events = events_to_list(*gen_poisson_flow(spec, 50.0, seed=11))
     assert len(events) == len(t1)
     assert events[0].time == t1[0]
     assert events[0].side == (BID if s1[0] == 0 else ASK)
     assert set(abs(e.delta) for e in events) == {3.0}
-    t3, _, _ = gen_poisson_flow(spec, 50.0, seed=12, arrays=True)
+    t3, _, _ = gen_poisson_flow(spec, 50.0, seed=12)
     assert len(t3) != len(t1) or not np.array_equal(t3, t1)
 
 
@@ -154,7 +154,7 @@ def test_poisson_rejects_bad_rates():
 
 def test_hawkes_zero_excitation_is_poisson():
     spec = HawkesFlowSpec(base_rates=(0.7, 1.3), excitation=((0.0, 0.0), (0.0, 0.0)), decay=(1.0, 1.0))
-    times, sides, _ = gen_hawkes_flow(spec, horizon=50_000.0, seed=SEED, arrays=True)
+    times, sides, _ = gen_hawkes_flow(spec, horizon=50_000.0, seed=SEED)
     # Rates theta_i per type; type parity fixes the side.
     n_b = np.sum(sides == 0)
     n_a = np.sum(sides == 1)
@@ -195,7 +195,7 @@ def test_hawkes_two_type_cross_excitation_rates():
     )
     want = spec.mean_rates()  # (I - B)^{-1} theta = (1, 1) at these numbers
     assert_allclose(want, [0.8, 0.8])
-    times, sides, _ = gen_hawkes_flow(spec, horizon=100_000.0, seed=SEED, arrays=True)
+    times, sides, _ = gen_hawkes_flow(spec, horizon=100_000.0, seed=SEED)
     for side, target in ((0, want[0]), (1, want[1])):
         rate = np.sum(sides == side) / 100_000.0
         assert abs(rate - target) / target < 0.05
@@ -203,8 +203,8 @@ def test_hawkes_two_type_cross_excitation_rates():
 
 def test_hawkes_deterministic():
     spec = HawkesFlowSpec(base_rates=(1.0,), excitation=((0.5,),), decay=(1.0,))
-    a = gen_hawkes_flow(spec, 200.0, seed=5, arrays=True)
-    b = gen_hawkes_flow(spec, 200.0, seed=5, arrays=True)
+    a = gen_hawkes_flow(spec, 200.0, seed=5)
+    b = gen_hawkes_flow(spec, 200.0, seed=5)
     for x, y in zip(a, b):
         assert_array_equal(x, y)
 
@@ -352,26 +352,26 @@ def test_agent_pair_moments_match_mix_algebra():
 
 def test_agent_all_market_orders_follow_table_signs():
     spec = AgentMixSpec(m=1.0, l=0.0, gamma=0.5)
-    events = gen_agent_flow(spec, horizon=2_000.0, seed=SEED)
+    events = events_to_list(*gen_agent_flow(spec, horizon=2_000.0, seed=SEED))
     # The mix table as printed gives market-only traders positive entries.
     assert len(events) > 1500
     assert all(e.delta > 0 for e in events)
 
     flipped = AgentMixSpec(m=1.0, l=0.0, gamma=0.5, flip_market_signs=True)
-    events = gen_agent_flow(flipped, horizon=2_000.0, seed=SEED)
+    events = events_to_list(*gen_agent_flow(flipped, horizon=2_000.0, seed=SEED))
     assert all(e.delta < 0 for e in events)
 
 
 def test_agent_limit_only_never_touches_both_sides():
     spec = AgentMixSpec(m=0.0, l=1.0, gamma=0.5)
-    times, sides, deltas = gen_agent_flow(spec, horizon=5_000.0, seed=SEED, arrays=True)
+    times, sides, deltas = gen_agent_flow(spec, horizon=5_000.0, seed=SEED)
     assert len(np.unique(times)) == len(times)  # one event per arrival
     assert np.all(deltas < 0)  # table signs: limit-only rows are negative
 
 
 def test_agent_mixed_legs_share_timestamp_bid_first():
     spec = AgentMixSpec(m=0.0, l=0.0, gamma=0.3)  # mixed traders only
-    times, sides, deltas = gen_agent_flow(spec, horizon=5_000.0, seed=SEED, arrays=True)
+    times, sides, deltas = gen_agent_flow(spec, horizon=5_000.0, seed=SEED)
     assert len(times) % 2 == 0
     t2 = times.reshape(-1, 2)
     s2 = sides.reshape(-1, 2)
@@ -398,7 +398,7 @@ def test_agent_rejects_bad_mix():
 def test_paired_events_roundtrip():
     times = np.array([1.0, 2.0, 3.0])
     pairs = np.array([[1.5, 0.0], [0.0, -2.0], [0.5, -0.5]])
-    times_o, sides_o, deltas_o = paired_events(times, pairs, arrays=True)
+    times_o, sides_o, deltas_o = paired_events(times, pairs)
     assert_array_equal(times_o, [1.0, 2.0, 3.0, 3.0])
     assert_array_equal(sides_o, [0, 1, 0, 1])
     assert_array_equal(deltas_o, [1.5, -2.0, 0.5, -0.5])

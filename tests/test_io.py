@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lobdiff.book import ASK, BID, BookState, OrderEvent, exponential_reinit, replay
+from lobdiff.book import (
+    ASK,
+    BID,
+    BookState,
+    OrderEvent,
+    events_to_list,
+    exponential_reinit,
+    replay,
+)
 from lobdiff.io import (
     ConfigError,
     jsonable,
@@ -22,14 +30,14 @@ from lobdiff.io import (
 
 def test_events_round_trip_exact(tmp_path):
     events = [
+        OrderEvent(1e-9, BID, -0.333333333333),
         OrderEvent(0.1, BID, 1.5),
         OrderEvent(0.30000000000000004, ASK, -2.0),
-        OrderEvent(1e-9, BID, -0.333333333333),
     ]
-    # deliberately unsorted: the CSV layer is format-only
+    # time-ordered: the reader rejects a time earlier than the line before
     path = tmp_path / "events.csv"
     write_events_csv(path, events)
-    back = read_events_csv(path)
+    back = events_to_list(*read_events_csv(path))
     assert back == events
 
 
@@ -68,7 +76,37 @@ def test_read_events_names_offending_line(tmp_path):
 def test_read_events_skips_blank_trailing_line(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("time,side,delta\n0.5,b,1.0\n\n")
-    assert len(read_events_csv(p)) == 1
+    assert len(read_events_csv(p)[0]) == 1
+
+
+def test_read_events_columns_match_float_of_each_field(tmp_path):
+    rows = ["1e-9,b,-0.333333333333", "0.1,a,1.5", "0.1,a,1_0"]
+    text = "time,side,delta\n" + "\n".join(rows) + "\n"
+    p = tmp_path / "x.csv"
+    p.write_text(text)
+    times, sides, deltas = read_events_csv(p)
+    assert times.tolist() == [1e-9, 0.1, 0.1]
+    assert sides.dtype == np.int8 and sides.tolist() == [0, 1, 1]
+    assert deltas.tolist() == [-0.333333333333, 1.5, 10.0]
+    # CRLF endings and blank lines are normalized away: same columns
+    p.write_bytes(text.replace("\n", "\r\n\r\n").encode())
+    again = read_events_csv(p)
+    for a, b in zip(again, (times, sides, deltas)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_read_events_rejects_rows_that_only_balance_in_total(tmp_path):
+    # six fields over two rows, but 4 + 2 rather than 3 + 3
+    p = tmp_path / "x.csv"
+    p.write_text("time,side,delta\n0.5,b,1.0,2.0\nb,1.0\n")
+    with pytest.raises(ConfigError, match="line 2: expected 3 fields"):
+        read_events_csv(p)
+
+
+def test_write_events_accepts_columns(tmp_path):
+    p = tmp_path / "x.csv"
+    write_events_csv(p, (np.array([0.25, 0.5]), np.array([0, 1], np.int8), np.array([1.0, -1.0])))
+    assert p.read_text() == "time,side,delta\n0.25,b,1.0\n0.5,a,-1.0\n"
 
 
 def test_queue_and_price_csv_headers(tmp_path):
