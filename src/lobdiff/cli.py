@@ -46,7 +46,7 @@ from .analytics import (
 )
 from .book import PEGGED, BookState, ReinitRule, exponential_reinit, geometric_reinit, replay
 from .diffusion import DiffusionParams, first_hits, net_flow_fclt_check, simulate_Q
-from .estimation import FlowSample, estimate_report
+from .estimation import FlowSample, estimate_report, mean_inter_event_time
 from .flows import AgentMixSpec, Dist, PoissonFlowSpec, gen_flow
 from .io import (
     ConfigError,
@@ -177,7 +177,10 @@ def _flow_from_config(block, where):
     if kind == "poisson":
         validate_schema(block, _POISSON_SCHEMA, where)
         fields = {k: v for k, v in block.items() if k != "kind"}
-        return PoissonFlowSpec(**fields)
+        try:
+            return PoissonFlowSpec(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if kind == "agent":
         validate_schema(block, _AGENT_SCHEMA, where)
         duration = _dist_from_config(block["duration"], f"{where}.duration")
@@ -262,6 +265,14 @@ def _resolve_seed(args, cfg):
     return int(cfg.get("seed", 0))
 
 
+def _resolve_paths(args, cfg, key, default):
+    if args.paths is None:
+        return cfg.get(key, default)
+    if args.paths <= 0:
+        raise ConfigError(f"--paths: must be > 0, got {args.paths}")
+    return args.paths
+
+
 def _provenance(seed, config_sha=None, **extra):
     prov = {"version": __version__, "seed": seed, "config_sha256": config_sha}
     prov.update(extra)
@@ -281,8 +292,9 @@ class _Laps:
         self._last = time.perf_counter()
 
     def lap(self, name):
+        """Charge the time since the last lap to `name`, adding up repeats."""
         now = time.perf_counter()
-        self.seconds[name] = now - self._last
+        self.seconds[name] = self.seconds.get(name, 0.0) + now - self._last
         self._last = now
 
 
@@ -414,6 +426,7 @@ _QUEUE_CHECK_SCHEMA = {
         "initial": {
             "type": "array",
             "minItems": 2,
+            "maxItems": 2,
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
         "reinit": {"type": "object", "open": True},
@@ -438,7 +451,10 @@ def _queue_marginal_check(flow_spec, qc, seed):
         "$.queue_check.reinit",
     )
     rule_diff = _reinit_from_config(reinit_cfg, "$.queue_check.reinit")
-    params = _params_from_target(*flow_limit_params(flow_spec))
+    # The book's sizes are rescaled by sqrt(n) and its time by n, so its
+    # drift is sqrt(n) times the flow's; the covariance is unchanged.
+    mu, sigma = flow_limit_params(flow_spec)
+    params = _params_from_target(root * mu, sigma)
     initial = BookState(
         bid_price_ticks=0, tick=1.0, q_bid=root * x0[0], q_ask=root * x0[1]
     )
@@ -493,7 +509,7 @@ def cmd_validate_fclt(args):
     seed = _resolve_seed(args, cfg)
     flow_spec = _flow_from_config(cfg["flow"], "$.flow")
     ladder = cfg["n_ladder"]
-    reps = args.paths if args.paths is not None else cfg.get("reps", 400)
+    reps = _resolve_paths(args, cfg, "reps", 400)
     horizon = cfg.get("horizon", 1.0)
     cov_tol = cfg.get("cov_tol", 0.05)
 
@@ -626,7 +642,7 @@ def cmd_pup(args):
     if params.vbar_bid != 0.0 or params.vbar_ask != 0.0:
         raise ConfigError("$.params: pup validation needs driftless params")
     grid = cfg.get("grid", {"x": _DEFAULT_GRID, "y": _DEFAULT_GRID})
-    n_paths = args.paths if args.paths is not None else cfg.get("n_paths", 100_000)
+    n_paths = _resolve_paths(args, cfg, "n_paths", 100_000)
     se_factor = cfg.get("se_factor", 3.0)
     widened = n_paths < 10_000
     if widened:
@@ -636,11 +652,14 @@ def cmd_pup(args):
             RuntimeWarning,
         )
 
+    laps = _Laps()
     rows = []
     checks = []
     for i, (x, y) in enumerate(itertools.product(grid["x"], grid["y"])):
         analytic = prob_up(x, y, params)
+        laps.lap("analytic")
         mc, se = prob_up_mc(x, y, params, n_paths=n_paths, seed=child_seed(seed, "pup", i))
+        laps.lap("mc")
         tol = se_factor * se
         if widened:
             tol = max(tol, 0.01)
@@ -667,7 +686,8 @@ def cmd_pup(args):
     }
     write_json(_out_path(args, "pup_report.json"), doc)
     write_grid_csv(_out_path(args, "pup_grid.csv"), "x,y,analytic,mc,se", rows)
-    _write_run_meta(args, "pup", started, {"total": time.perf_counter() - t0})
+    laps.lap("write")
+    _write_run_meta(args, "pup", started, {"total": time.perf_counter() - t0, **laps.seconds})
     _emit_stdout(args, doc, "x,y,analytic,mc,se", rows)
     return 0 if passed else 1
 
@@ -683,6 +703,7 @@ _DURATION_SCHEMA = {
         "state": {
             "type": "array",
             "minItems": 2,
+            "maxItems": 2,
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
         "t_grid": {
@@ -708,16 +729,19 @@ def cmd_duration(args):
     params = _params_from_config(cfg["params"], "$.params")
     x, y = cfg.get("state", [1.0, 1.0])
     t_grid = sorted(cfg.get("t_grid", _DEFAULT_T_GRID))
-    n_paths = args.paths if args.paths is not None else cfg.get("n_paths", 200_000)
+    n_paths = _resolve_paths(args, cfg, "n_paths", 200_000)
     sup_tol = cfg.get("sup_tol", 0.02)
     drifted = params.vbar_bid != 0.0 or params.vbar_ask != 0.0
 
+    laps = _Laps()
     t_max = t_grid[-1] * 1.001
     _, times = first_hits(params, (x, y), n_paths, child_seed(seed, "dur"), t_max=t_max)
+    laps.lap("mc")
     if drifted:
         analytic = np.array([duration_survival_drifted(t, x, y, params) for t in t_grid])
     else:
         analytic = duration_survival(np.asarray(t_grid), x, y, params)
+    laps.lap("analytic")
 
     rows = []
     checks = []
@@ -761,7 +785,8 @@ def cmd_duration(args):
     }
     write_json(_out_path(args, "duration_report.json"), doc)
     write_grid_csv(_out_path(args, "duration_curve.csv"), "t,analytic,mc,se", rows)
-    _write_run_meta(args, "duration", started, {"total": time.perf_counter() - t0})
+    laps.lap("write")
+    _write_run_meta(args, "duration", started, {"total": time.perf_counter() - t0, **laps.seconds})
     _emit_stdout(args, doc, "t,analytic,mc,se", rows)
     return 0 if passed else 1
 
@@ -788,12 +813,20 @@ def cmd_estimate(args):
     times, sides, deltas = read_events_csv(args.input)
     laps.lap("read")
     sample = FlowSample.from_arrays(times, sides, deltas)
-    report = estimate_report(
-        sample,
-        gamma1=cfg.get("gamma1", 1.0),
-        lag_cut=cfg.get("lag_cut"),
-        hill_k=cfg.get("hill_k"),
-    )
+    gamma1 = cfg.get("gamma1", 1.0)
+    try:
+        gamma0 = mean_inter_event_time(sample)
+        if gamma1 >= gamma0:
+            report = estimate_report(
+                sample, gamma1=gamma1, lag_cut=cfg.get("lag_cut"), hill_k=cfg.get("hill_k")
+            )
+    except ValueError as exc:  # the tape is too short or too thin to estimate from
+        raise ConfigError(f"{args.input}: {exc}") from None
+    if gamma1 < gamma0:
+        raise ConfigError(
+            f"$.gamma1: the observation period {gamma1!r} s is shorter than the tape's "
+            f"mean inter-event time {gamma0:.6g} s; set gamma1 to at least that"
+        )
     laps.lap("estimate")
 
     doc = {

@@ -45,7 +45,15 @@ Monte Carlo determinism
 -----------------------
 `first_hits` runs in fixed-size chunks, each on its own substream keyed by
 (seed, chunk index); results are concatenated in chunk order, so output is
-identical for a given (seed, n_paths) no matter how the work is scheduled.
+identical for a given (seed, n_paths, chunk, step, t_max) no matter how the
+work is scheduled. Within a chunk the output is fixed by the order of the
+draws, which is a contract: each step draws, for the paths still live in
+path order, `standard_normal((n, 2))`, then `random((n, 2))`, then one
+`wald` call for the bid crossers and one for the ask crossers, each again in
+path order. A change to that order, or to the float expressions that turn
+draws into states (the increment is `z @ chol.T` scaled by sqrt(dt)),
+re-rolls every seeded Monte Carlo check; `tests/test_diffusion.py` pins the
+bytes of a few runs.
 """
 
 import math
@@ -76,7 +84,7 @@ __all__ = [
     "NetFlowReport",
 ]
 
-#: Side codes used by the vectorized Monte Carlo: columns of the state array.
+#: Side codes returned by `first_hits`; bid and ask are also the columns of its draws.
 SIDE_BID = 0
 SIDE_ASK = 1
 SIDE_CENSORED = -1
@@ -317,71 +325,81 @@ def first_hits(
     return sides, times
 
 
-def _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, beta, t_max):
-    sd = np.sqrt(np.diag(cov))
-    var_b, var_a = cov[0, 0], cov[1, 1]
-    drift_scale = np.abs(mu) / sd  # per-coordinate drift in stds per unit time
+def _bridge_hit_times(k, a, b, var, dt, rng):
+    """Vectorized `_bridge_hit_time` for the crossers k of one coordinate."""
+    a, dt = a[k], dt[k]
+    babs = np.maximum(np.abs(b[k]), 1e-12 * np.maximum(a, 1.0))
+    w = rng.wald(a / babs, a * a / (var * dt))
+    return dt * w / (1.0 + w)
 
-    x = np.tile(x0, (m, 1))
+
+def _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, beta, t_max):
+    # Live paths stay compacted in (xb, xa, t, ids), in path order; every
+    # step draws for them in that order (see "Monte Carlo determinism").
+    sd = np.sqrt(np.diag(cov))
+    ds = float(np.max(np.abs(mu) / sd))  # largest drift, in stds per unit time
+    sd_b, sd_a = sd
+    var_b, var_a = cov[0, 0], cov[1, 1]
+    mu_b, mu_a = mu
+    censor = math.isfinite(t_max)
+    t_stop = t_max * (1.0 - 1e-15)
+
+    xb = np.full(m, x0[0])
+    xa = np.full(m, x0[1])
     t = np.zeros(m)
+    ids = np.arange(m)
     out_side = np.full(m, SIDE_CENSORED, dtype=np.int8)
     out_time = np.full(m, t_max, dtype=float)
-    idx = np.arange(m)
+    z_buf = np.empty((m, 2))
+    u_buf = np.empty((m, 2))
 
-    while idx.size:
-        n = idx.size
+    while ids.size:
+        n = ids.size
         if fixed_dt is None:
-            d = np.minimum(x[idx, 0] / sd[0], x[idx, 1] / sd[1])
+            d = np.minimum(xb / sd_b, xa / sd_a)
             dt = (beta * d) ** 2
-            ds = float(np.max(drift_scale))
             if ds > 0:
                 # Keep the drift displacement under beta * d as well.
                 dt = np.minimum(dt, beta * d / ds)
         else:
             dt = np.full(n, fixed_dt)
-        if math.isfinite(t_max):
-            dt = np.minimum(dt, t_max - t[idx])
-        z = rng.standard_normal((n, 2))
-        sq = np.sqrt(dt)[:, None]
-        y = x[idx] + mu * dt[:, None] + (z @ chol.T) * sq
-        u = rng.random((n, 2))
+        if censor:
+            dt = np.minimum(dt, t_max - t)
+        z = rng.standard_normal(out=z_buf[:n])
+        sq = np.sqrt(dt)
+        dz = z @ chol.T
+        yb = xb + mu_b * dt + dz[:, 0] * sq
+        ya = xa + mu_a * dt + dz[:, 1] * sq
+        u = rng.random(out=u_buf[:n])
 
         with np.errstate(over="ignore"):
-            p_b = np.exp(-2.0 * x[idx, 0] * y[:, 0] / (var_b * dt))
-            p_a = np.exp(-2.0 * x[idx, 1] * y[:, 1] / (var_a * dt))
-        cross_b = (y[:, 0] <= 0) | (u[:, 0] < p_b)
-        cross_a = (y[:, 1] <= 0) | (u[:, 1] < p_a)
-
-        s_b = np.full(n, np.inf)
-        s_a = np.full(n, np.inf)
-        kb = np.flatnonzero(cross_b)
-        if kb.size:
-            a = x[idx[kb], 0]
-            babs = np.maximum(np.abs(y[kb, 0]), 1e-12 * np.maximum(a, 1.0))
-            w = rng.wald(a / babs, a * a / (var_b * dt[kb]))
-            s_b[kb] = dt[kb] * w / (1.0 + w)
-        ka = np.flatnonzero(cross_a)
-        if ka.size:
-            a = x[idx[ka], 1]
-            babs = np.maximum(np.abs(y[ka, 1]), 1e-12 * np.maximum(a, 1.0))
-            w = rng.wald(a / babs, a * a / (var_a * dt[ka]))
-            s_a[ka] = dt[ka] * w / (1.0 + w)
-
+            p_b = np.exp(-2.0 * xb * yb / (var_b * dt))
+            p_a = np.exp(-2.0 * xa * ya / (var_a * dt))
+        cross_b = (yb <= 0) | (u[:, 0] < p_b)
+        cross_a = (ya <= 0) | (u[:, 1] < p_a)
         hit = cross_b | cross_a
+
         kh = np.flatnonzero(hit)
         if kh.size:
-            paths = idx[kh]
-            ask_first = s_a[kh] <= s_b[kh]  # exact ties go to the ask side
+            s_b = np.full(n, np.inf)
+            s_a = np.full(n, np.inf)
+            kb = np.flatnonzero(cross_b)
+            if kb.size:
+                s_b[kb] = _bridge_hit_times(kb, xb, yb, var_b, dt, rng)
+            ka = np.flatnonzero(cross_a)
+            if ka.size:
+                s_a[ka] = _bridge_hit_times(ka, xa, ya, var_a, dt, rng)
+            s_b, s_a = s_b[kh], s_a[kh]
+            paths = ids[kh]
+            ask_first = s_a <= s_b  # exact ties go to the ask side
             out_side[paths] = np.where(ask_first, SIDE_ASK, SIDE_BID).astype(np.int8)
-            out_time[paths] = t[paths] + np.minimum(s_a[kh], s_b[kh])
+            out_time[paths] = t[kh] + np.minimum(s_a, s_b)
 
-        survive = ~hit
-        t[idx[survive]] += dt[survive]
-        x[idx[survive]] = y[survive]
-        alive = survive
-        if math.isfinite(t_max):
-            alive = survive & (t[idx] < t_max * (1.0 - 1e-15))
-        idx = idx[alive]
+        t = t + dt
+        alive = ~hit
+        if censor:
+            alive &= t < t_stop
+        xb, xa, t, ids = yb[alive], ya[alive], t[alive], ids[alive]
     return out_side, out_time
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "FlowSample",
     "ParamEstimate",
     "estimate_rates",
+    "mean_inter_event_time",
     "estimate_size_moments",
     "estimate_rho",
     "hill_estimator",
@@ -108,6 +109,12 @@ def estimate_rates(sample):
         _rate_one_side(sample.bid_times, "bid"),
         _rate_one_side(sample.ask_times, "ask"),
     )
+
+
+def mean_inter_event_time(sample):
+    """gamma0: the mean of the two sides' mean inter-event times, in seconds."""
+    lam_b, lam_a = estimate_rates(sample)
+    return 0.5 * (1.0 / lam_b.value + 1.0 / lam_a.value)
 
 
 def _autocovariances(x, max_lag, y=None):
@@ -404,7 +411,7 @@ def estimate_report(sample, gamma1, lag_cut=None, hill_k=None):
         v2_ask=v2_a.value,
         rho=rho.value,
     )
-    gamma0 = 0.5 * (1.0 / lam_b.value + 1.0 / lam_a.value)
+    gamma0 = mean_inter_event_time(sample)
     scaled = scaled_params(est, gamma0, gamma1)
 
     def as_dict(e):

@@ -232,6 +232,8 @@ def _walk(value, schema, path, errors):
             errors.append(
                 f"{path}: needs at least {schema['minItems']} items, got {len(value)}"
             )
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            errors.append(f"{path}: allows at most {schema['maxItems']} items, got {len(value)}")
         item_schema = schema.get("items")
         if item_schema is not None:
             for i, item in enumerate(value):
@@ -254,7 +256,7 @@ def validate_schema(obj, schema, where="$"):
     """Check `obj` against a small schema dialect; raise listing every issue.
 
     The dialect covers what configs need: type, required/properties (closed
-    by default, opt out with "open": true), enum, items/minItems, and
+    by default, opt out with "open": true), enum, items/minItems/maxItems, and
     numeric bounds. Errors carry JSONPath-style locations.
     """
     errors = []

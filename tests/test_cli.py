@@ -403,3 +403,98 @@ def test_estimate_survives_tied_batch_sums(tmp_path):
     assert diag["hill_tied_tail"] == [True, True]
     meta = json.loads((est_out / "run_meta.json").read_text())["runtime_seconds"]
     assert set(meta) == {"total", "read", "estimate", "write"}
+
+
+# ---------------------------------------------------------------------------
+# Stage timings, the drifted queue check, and located input errors
+
+
+@pytest.mark.parametrize("command, cfg", [("pup", PUP_CFG), ("duration", DUR_CFG)])
+def test_monte_carlo_run_meta_times_each_stage(tmp_path, command, cfg):
+    path = write_config(tmp_path, f"{command}.json", cfg)
+    out = tmp_path / "run"
+    assert run([command, "--config", path, "--out", out]) == 0
+    seconds = json.loads((out / "run_meta.json").read_text())["runtime_seconds"]
+    stages = ("mc", "analytic", "write")
+    assert set(seconds) == {"total", *stages}
+    assert all(seconds[k] >= 0 for k in stages)
+    assert sum(seconds[k] for k in stages) <= seconds["total"]
+
+
+def test_validate_fclt_queue_check_passes_on_drifted_flow(tmp_path):
+    # The flow drifts at -0.2 per side. Before the limit diffusion carried the
+    # book's sqrt(n)-amplified drift, the terminal KS distances at this seed
+    # were about 0.4 against a critical value of 0.21.
+    cfg = write_config(
+        tmp_path,
+        "fclt.json",
+        {
+            "flow": {"kind": "poisson", "lambda_limit": 1.2, "mu_market": 1.0, "theta_cancel": 0.4},
+            "n_ladder": [16, 64, 256],
+            "reps": 200,
+            "seed": 3,
+        },
+    )
+    out = tmp_path / "f"
+    assert run(["validate-fclt", "--config", cfg, "--out", out]) == 0
+    checks = {c["metric"]: c for c in json.loads((out / "fclt_report.json").read_text())["checks"]}
+    for name in ("queue_terminal_ks_bid", "queue_terminal_ks_ask"):
+        assert checks[name]["observed"] < 0.15 < checks[name]["tolerance"]
+
+
+FCLT_CFG = {
+    "flow": {"kind": "poisson", "lambda_limit": 1.5, "mu_market": 1.0, "theta_cancel": 0.5},
+    "n_ladder": [64],
+    "queue_check": False,
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra, where",
+    [
+        ("pup", PUP_CFG, ["--paths", 0], "--paths"),
+        ("pup", PUP_CFG, ["--paths", -5], "--paths"),
+        ("duration", DUR_CFG, ["--paths", 0], "--paths"),
+        ("validate-fclt", FCLT_CFG, ["--paths", 0], "--paths"),
+        ("duration", {**DUR_CFG, "state": [1.0, 1.0, 1.0]}, [], "$.state"),
+        (
+            "simulate-lob",
+            {**SIM_CFG, "flow": {**SIM_CFG["flow"], "mu_market": 0.0}},
+            [],
+            "$.flow",
+        ),
+    ],
+    ids=["pup-paths-0", "pup-paths-neg", "duration-paths-0", "fclt-paths-0", "state-3", "mu-market-0"],
+)
+def test_unusable_input_exits_two_with_location(tmp_path, capsys, command, cfg, extra, where):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "x", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
+
+
+def test_estimate_slow_tape_names_gamma1(tmp_path, capsys):
+    # Events every 2 s, alternating sides: each side's mean inter-event time
+    # is 4 s, longer than the default 1 s observation period.
+    def tape(name, sizes):
+        rows = "".join(f"{2.0 * i!r},{'ba'[i % 2]},{v!r}\n" for i, v in enumerate(sizes, 1))
+        p = tmp_path / name
+        p.write_text("time,side,delta\n" + rows)
+        return p
+
+    short = tape("short.csv", [(-1.0) ** (i // 2) for i in range(1, 41)])
+    assert run(["estimate", short, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.gamma1")
+    assert "mean inter-event time 4 s" in err
+    # With a long enough period the 20 events per side are still too few
+    # for the lag cut their sizes call for: a located error, not a traceback.
+    cfg = write_config(tmp_path, "est.json", {"gamma1": 10.0})
+    assert run(["estimate", short, "--config", cfg, "--out", tmp_path / "y"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {short}: need at least")
+    long = tape("long.csv", np.random.default_rng(5).standard_normal(400).tolist())
+    assert run(["estimate", long, "--config", cfg, "--out", tmp_path / "z"]) == 0
+    report = json.loads((tmp_path / "z" / "estimate_report.json").read_text())["report"]
+    assert report["diagnostics"]["gamma0"] == pytest.approx(4.0)

@@ -7,6 +7,7 @@ checked against a fine-grid bridge simulation and the closed-form
 inverse-Gaussian distribution.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -251,6 +252,50 @@ def test_first_hits_deterministic_and_chunk_invariant():
     assert abs(p1 - p3) < 5 * se
     s4, t4 = first_hits(UNIT, (1.0, 1.5), 5000, seed=42, chunk=1024)
     assert np.array_equal(s3, s4) and np.array_equal(t3, t4)
+
+
+# sha256 of sides.tobytes() + times.tobytes(), recorded with the engine that
+# gathered and scattered live paths through an index array. The draw order
+# and float expressions are a contract (see the diffusion module docstring):
+# a change to either re-rolls every seeded Monte Carlo check and shows here.
+PINNED_FIRST_HITS = {
+    "auto-step": (
+        dict(lambda_bid=1.0, lambda_ask=1.0, rho=-0.5), (1.0, 2.0), 3000, 101, {},
+        "494324465532b349e9a9c5a1ec01546a8a90a4530a3c4256116ccb199f75530c",
+    ),
+    "censored": (
+        dict(lambda_bid=1.0, lambda_ask=1.0), (1.0, 1.0), 3000, 102, {"t_max": 0.5},
+        "ef7f4852d265e3980f1d20bbc56adc86581e673d411b9263ce79d5eec4e20f30",
+    ),
+    "fixed-step": (
+        dict(lambda_bid=1.0, lambda_ask=1.0), (1.0, 1.5), 2000, 103,
+        {"step": 0.01, "t_max": 1.0},
+        "92de9677492243b33743805bf0750ffbc480e58818f2b417edb1a1ee6dc0b60c",
+    ),
+    "drift": (
+        dict(lambda_bid=1.0, lambda_ask=1.0, vbar_bid=-0.2, vbar_ask=0.1), (1.0, 1.0), 3000, 104,
+        {"t_max": 2.0},
+        "4bf62cbf8deb0009b68174b65052d48656835043fec9c8bdcc8bb880968db4dc",
+    ),
+    "rho-unequal": (
+        dict(lambda_bid=1.3, lambda_ask=0.7, v2_bid=2.0, v2_ask=0.5, rho=0.6), (0.8, 1.7), 3000, 105,
+        {},
+        "009989d470a5bf7b7c650bc2cd6a01c98209d635e64072b16d203f0f5bca98fa",
+    ),
+    "ragged-chunks": (
+        dict(lambda_bid=1.0, lambda_ask=1.0, rho=-0.5), (1.0, 1.0), 2500, 106, {"chunk": 1024},
+        "24a18a99b968ef3feee08f72410a802aa485b0b0c3df4eb934712cfab8778772",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FIRST_HITS))
+def test_first_hits_match_pinned_hashes(case):
+    fields, initial, n_paths, seed, kwargs, want = PINNED_FIRST_HITS[case]
+    sides, times = first_hits(DiffusionParams(**fields), initial, n_paths, seed, **kwargs)
+    if "t_max" in kwargs:
+        assert np.any(sides == SIDE_CENSORED)
+    assert hashlib.sha256(sides.tobytes() + times.tobytes()).hexdigest() == want
 
 
 def test_first_hits_rejects_bad_input():
