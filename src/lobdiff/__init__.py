@@ -42,7 +42,6 @@ from .book import (
 from .diffusion import (
     DiffusionParams,
     ScaledParams,
-    first_hit,
     first_hits,
     generator_apply,
     net_flow_fclt_check,
@@ -87,7 +86,7 @@ __all__ = [
     "gen_agent_flow", "gen_arch_volumes", "gen_hawkes_flow",
     "gen_poisson_flow",
     # diffusion
-    "DiffusionParams", "ScaledParams", "first_hit", "first_hits",
+    "DiffusionParams", "ScaledParams", "first_hits",
     "generator_apply", "net_flow_fclt_check", "rescale_discrete",
     "simulate_Q",
     # analytics

@@ -20,7 +20,9 @@ Everything here rides on that picture:
   primitives to the drift and covariance of the Gaussian limit.
 
 Functions accept any params object exposing ``drift()`` and ``covariance()``
-(both parameter classes in :mod:`.diffusion` do).
+(both parameter classes in :mod:`.diffusion` do). Each quantity has one
+formula here; printed variants that are equivalent or disagree with Monte
+Carlo are kept as counter-examples in ``tests/literal_forms.py``.
 """
 
 import math
@@ -84,37 +86,22 @@ class ConeGeometry:
         return (2 * n + 1) * math.pi / self.alpha
 
 
-def cone_geometry(x, y, params, u_variant="standardized"):
+def cone_geometry(x, y, params):
     """Map an interior state (x, y) = (bid, ask) to wedge coordinates.
 
     The angle formulas are evaluated with atan2 instead of branch-by-branch
     arctangents, which removes the sign and quadrant fragility of the
-    three-branch displays near rho = 0 and x = rho * y.
-
-    u_variant selects the squared radius: "standardized" (default) is the
-    quadratic form of the correlation-adjusted standardized coordinates --
-    the radius the wedge Brownian motion actually starts from; "literal"
-    scales by the variances instead of the standard deviations and divides
-    by (1 - rho). The variants agree at rho = 0 with equal unit scales and
-    diverge elsewhere; "literal" is kept only so tests can show it fails
-    against Monte Carlo.
+    three-branch displays near rho = 0 and x = rho * y. The squared radius U
+    is the quadratic form of the correlation-adjusted standardized
+    coordinates: the radius the wedge Brownian motion actually starts from.
     """
     if x <= 0 or y <= 0:
         raise ValueError(f"state must be strictly inside the orthant, got ({x}, {y})")
-    cov = params.covariance()
-    sb, sa, rho = _correlation(cov)
+    sb, sa, rho = _correlation(params.covariance())
     X, Y = x / sb, y / sa
     alpha = math.acos(-rho)
     theta0 = math.atan2(Y * math.sqrt(1.0 - rho * rho), X - rho * Y)
-    if u_variant == "standardized":
-        U = (X * X + Y * Y - 2.0 * rho * X * Y) / (1.0 - rho * rho)
-    elif u_variant == "literal":
-        var_b, var_a = cov[0, 0], cov[1, 1]
-        U = ((x / var_a) ** 2 + (y / var_b) ** 2 - 2.0 * rho * x * y / (var_a * var_b)) / (
-            1.0 - rho
-        )
-    else:
-        raise ValueError(f"unknown u_variant {u_variant!r}")
+    U = (X * X + Y * Y - 2.0 * rho * X * Y) / (1.0 - rho * rho)
     return ConeGeometry(alpha=alpha, theta0=theta0, U=U, r0=math.sqrt(U))
 
 
@@ -122,15 +109,13 @@ def cone_geometry(x, y, params, u_variant="standardized"):
 # Exit-side probability
 
 
-def prob_up(x, y, params, form="cone", n_paths=250_000, seed=0):
+def prob_up(x, y, params, n_paths=250_000, seed=0):
     """Probability that the next price move is an uptick from state (x, y).
 
     For driftless params this is the exit-side probability of the wedge
     Brownian motion, 1 - theta0 / alpha: certain as the ask queue empties
     (y -> 0), impossible as the bid queue empties, 1/2 on the diagonal of a
-    symmetric book. `form` picks between three algebraically equivalent
-    expressions ("cone", "arctan", "arcsin"); they exist separately so tests
-    can check they agree to floating point.
+    symmetric book.
 
     With nonzero drift there is no closed form and the value falls back to
     bridge-corrected first-hit Monte Carlo with `n_paths` paths; call
@@ -140,25 +125,7 @@ def prob_up(x, y, params, form="cone", n_paths=250_000, seed=0):
     if drift[0] != 0.0 or drift[1] != 0.0:
         return prob_up_mc(x, y, params, n_paths=n_paths, seed=seed)[0]
     geom = cone_geometry(x, y, params)
-    if form == "cone":
-        p = 1.0 - geom.theta0 / geom.alpha
-    elif form == "arctan":
-        sb, sa, rho = _correlation(params.covariance())
-        X, Y = x / sb, y / sa
-        c = math.sqrt((1.0 + rho) / (1.0 - rho))
-        p = 0.5 - math.atan(c * (Y - X) / (Y + X)) / (2.0 * math.atan(c))
-    elif form == "arcsin":
-        sb, sa, rho = _correlation(params.covariance())
-        beta = math.asin(rho) / 2.0
-        that = math.atan2(y / sa, x / sb)
-        p = (
-            math.pi / 2.0
-            + beta
-            - math.atan2(math.sin(that - beta), math.cos(that + beta))
-        ) / geom.alpha
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return min(1.0, max(0.0, p))
+    return min(1.0, max(0.0, 1.0 - geom.theta0 / geom.alpha))
 
 
 def prob_up_mc(x, y, params, n_paths=250_000, seed=0, step="auto", chunk=8192):
@@ -173,9 +140,7 @@ def prob_up_mc(x, y, params, n_paths=250_000, seed=0, step="auto", chunk=8192):
 # Duration until the next price move: driftless series
 
 
-def duration_survival(
-    t, x, y, params, series_tol=1e-10, max_terms=400, u_variant="standardized"
-):
+def duration_survival(t, x, y, params, series_tol=1e-10, max_terms=400):
     """P[the next price change happens after t], from state (x, y), driftless.
 
     Evaluates the wedge exit-time survival series term by term with
@@ -187,7 +152,7 @@ def duration_survival(
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("t must be > 0")
-    geom = cone_geometry(x, y, params, u_variant=u_variant)
+    geom = cone_geometry(x, y, params)
     z = geom.U / (4.0 * t_arr)
     prefactor = np.sqrt(2.0 * geom.U / (math.pi * t_arr))
     total = np.zeros_like(t_arr)
@@ -268,7 +233,7 @@ def drifted_duration_params(params):
     )
 
 
-def _drifted_quadrature(t, geom, dd, inner_sine, n_theta, n_r, max_terms):
+def _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms):
     """One evaluation of the drifted survival double integral."""
     alpha, theta0, r0 = geom.alpha, geom.theta0, geom.r0
     d = np.array([dd.d1, dd.d2])
@@ -306,9 +271,7 @@ def _drifted_quadrature(t, geom, dd, inner_sine, n_theta, n_r, max_terms):
     quiet = 0
     for n in range(1, max_terms + 1):
         nu = n * math.pi / alpha
-        inner = (
-            np.sin(nu * theta) if inner_sine == "corrected" else math.sin(nu)
-        )
+        inner = np.sin(nu * theta)
         radial = np.sum(special.ive(nu, z) * base, axis=1)
         contrib = math.sin(nu * theta0) * float(np.sum(w_theta * inner * radial))
         total += contrib
@@ -322,16 +285,7 @@ def _drifted_quadrature(t, geom, dd, inner_sine, n_theta, n_r, max_terms):
 
 
 def duration_survival_drifted(
-    t,
-    x,
-    y,
-    params,
-    inner_sine="corrected",
-    n_theta=160,
-    n_r=400,
-    quad_tol=1e-4,
-    max_terms=80,
-    u_variant="standardized",
+    t, x, y, params, n_theta=160, n_r=400, quad_tol=1e-4, max_terms=80
 ):
     """P[the next price change happens after t] under drifted parameters.
 
@@ -340,13 +294,8 @@ def duration_survival_drifted(
     Gauss-Legendre double integral over (theta, r). The integral is run at
     half and at full resolution; if the two disagree by more than quad_tol a
     RuntimeWarning reports the achieved bound. Values are clamped to [0, 1],
-    with a warning when the excursion exceeds numerical noise.
-
-    inner_sine: "corrected" (default) uses the eigenfunction
-    sin(n pi theta / alpha) inside the theta integral; "literal" freezes it
-    at theta = 1 as one printed form of the formula does. The default is the
-    variant that matches Monte Carlo; the other is kept for the comparison
-    tests.
+    with a warning when the excursion exceeds numerical noise. The theta
+    integrand carries the wedge eigenfunction sin(n pi theta / alpha).
 
     Reduces to :func:`duration_survival` (within quad_tol) when the drift
     vanishes. t is scalar here -- the drifted evaluation is quadrature-bound,
@@ -354,14 +303,10 @@ def duration_survival_drifted(
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    if inner_sine not in ("corrected", "literal"):
-        raise ValueError(f"unknown inner_sine {inner_sine!r}")
-    geom = cone_geometry(x, y, params, u_variant=u_variant)
+    geom = cone_geometry(x, y, params)
     dd = drifted_duration_params(params)
-    coarse = _drifted_quadrature(
-        t, geom, dd, inner_sine, n_theta // 2, n_r // 2, max_terms
-    )
-    value = _drifted_quadrature(t, geom, dd, inner_sine, n_theta, n_r, max_terms)
+    coarse = _drifted_quadrature(t, geom, dd, n_theta // 2, n_r // 2, max_terms)
+    value = _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms)
     err = abs(value - coarse)
     if err > quad_tol:
         warnings.warn(
@@ -380,7 +325,7 @@ def duration_survival_drifted(
 # Order-flow model maps
 
 
-def agent_model_params(m, l, gamma, mean_duration, e_v2, vbar, variant="flow"):
+def agent_model_params(m, l, gamma, mean_duration, e_v2, vbar):
     """Limit drift, variance rate, and correlation of the three-agent mix.
 
     Agents are market-only (weight m), limit-only (l), and mixed traders
@@ -388,12 +333,8 @@ def agent_model_params(m, l, gamma, mean_duration, e_v2, vbar, variant="flow"):
     orders on one side and 1 - gamma as market orders on the other. Returns
     (mu, v2, rho): per-second drift of each side's net flow, per-second
     variance rate, and the cross-correlation; the two sides share all three
-    by the symmetry of the mix.
-
-    variant="flow" (default) derives everything from the mix's pair moments,
-    which is what simulated flows reproduce; "literal" evaluates an
-    alternative printed variance/correlation pair kept for comparison -- it
-    does not match pair-level simulation except at s = 1.
+    by the symmetry of the mix. All three derive from the mix's pair
+    moments, which is what simulated flows reproduce.
     """
     if not (0 <= m <= 1 and 0 <= l <= 1 and m + l <= 1):
         raise ValueError("m, l must be nonnegative with m + l <= 1")
@@ -406,21 +347,8 @@ def agent_model_params(m, l, gamma, mean_duration, e_v2, vbar, variant="flow"):
     s = 1.0 - l - m
     u = s * gamma * (1.0 - gamma)
     mu = vbar * (2.0 * m + 2.0 * gamma * s - 1.0) / (2.0 * mean_duration)
-    if variant == "flow":
-        v2 = e_v2 * (1.0 - 2.0 * u) / (2.0 * mean_duration)
-        rho = -2.0 * u / (1.0 - 2.0 * u)
-    elif variant == "literal":
-        v2 = (
-            mean_duration
-            * e_v2
-            * (m + l + 0.5 * (gamma**2 + (1.0 - gamma) ** 2) * s)
-            / 4.0
-        )
-        rho = -(s**2) * gamma * (1.0 - gamma) / (
-            1.0 + s * (gamma**2 - gamma - 0.5)
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    v2 = e_v2 * (1.0 - 2.0 * u) / (2.0 * mean_duration)
+    rho = -2.0 * u / (1.0 - 2.0 * u)
     return mu, v2, rho
 
 

@@ -19,8 +19,8 @@ What lives here
 - `DiffusionParams` / `ScaledParams`: the parameter bundles, with `drift()`
   and `covariance()` accessors shared by everything downstream.
 - `simulate_Q`: one full path with jump reinitialization at the axes.
-- `first_hit` / `first_hits`: which axis is hit first and when — the single
-  path and the vectorized Monte Carlo versions.
+- `first_hits`: which axis is hit first and when, as vectorized Monte Carlo
+  (pass n_paths = 1 for a single path).
 - `rescale_discrete`: the q -> Q^n = q_{nt}/sqrt(n) reindexing.
 - `generator_apply`: the second-order generator evaluated on a test function.
 - `net_flow_fclt_check`: empirical verification that rescaled net order flow
@@ -76,7 +76,6 @@ __all__ = [
     "ScaledParams",
     "SmoothFunction",
     "simulate_Q",
-    "first_hit",
     "first_hits",
     "rescale_discrete",
     "generator_apply",
@@ -90,6 +89,11 @@ SIDE_ASK = 1
 SIDE_CENSORED = -1
 
 _CHUNK = 8192
+#: Auto step: each step covers at most this fraction of the standardized axis
+#: distance. A path near an axis exits within one step with chance about
+#: Phi(-1/_BETA), so much smaller values let paths creep toward the axis until
+#: dt underflows to 0 and the loop never ends.
+_BETA = 0.45
 
 
 @dataclass(frozen=True)
@@ -258,21 +262,6 @@ def _bridge_hit_time(a, b, var, dt, rng):
 # First-passage Monte Carlo
 
 
-def first_hit(params, initial, seed, step="auto", t_max=math.inf):
-    """Side and time of the first axis hit of a single path.
-
-    Returns (side, time) with side "ask_depleted" (price up: the ask queue
-    emptied first) or "bid_depleted". step "auto" adapts each step to the
-    current standardized distance from the axes; a numeric step is fixed.
-    A path still interior at t_max returns (None, t_max).
-    """
-    sides, times = first_hits(params, initial, 1, seed, step=step, t_max=t_max)
-    if sides[0] == SIDE_CENSORED:
-        return None, float(times[0])
-    side = ASK_DEPLETED if sides[0] == SIDE_ASK else BID_DEPLETED
-    return side, float(times[0])
-
-
 def first_hits(
     params,
     initial,
@@ -280,7 +269,6 @@ def first_hits(
     seed,
     step="auto",
     t_max=math.inf,
-    beta=0.45,
     chunk=_CHUNK,
 ):
     """Vectorized first-passage Monte Carlo from a common interior start.
@@ -288,19 +276,26 @@ def first_hits(
     Returns (sides, times): sides is int8 with 0 = bid axis, 1 = ask axis,
     -1 = censored at t_max; times holds the hit (or censoring) times.
 
-    step "auto" uses dt = (beta * d)^2 per path, where d is the smaller of
-    the two standardized axis distances x_i / sqrt(Sigma_ii), additionally
-    limited so drift moves the path by at most a beta fraction of d per
-    step; a numeric step fixes dt. Censoring at finite t_max truncates each
-    path's last step exactly at the horizon. Results are deterministic in
-    (seed, n_paths, chunk): the substream is keyed per chunk, so changing
-    the chunk size regroups the draws.
+    step "auto" uses dt = (beta * d)^2 per path, with beta = 0.45 and d the
+    smaller of the two standardized axis distances x_i / sqrt(Sigma_ii),
+    additionally limited so drift moves the path by at most a beta fraction
+    of d per step; a numeric step fixes dt. Censoring at finite t_max
+    truncates each path's last step exactly at the horizon. A drift that
+    points away from both axes lets paths escape forever, so it needs a
+    finite t_max. Results are deterministic in (seed, n_paths, chunk): the
+    substream is keyed per chunk, so changing the chunk size regroups the
+    draws.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be > 0")
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
     mu, cov, chol = _unpack(params)
+    if not math.isfinite(t_max) and mu[0] > 0 and mu[1] > 0:
+        raise ValueError(
+            "drift points away from both axes, so paths may never hit one; "
+            "set a finite t_max"
+        )
     x0 = _check_interior(initial)
     fixed_dt = None
     if step != "auto":
@@ -315,9 +310,7 @@ def first_hits(
     while done < n_paths:
         m = min(chunk, n_paths - done)
         rng = substream(seed, "first-hits", c)
-        s_chunk, t_chunk = _first_hit_chunk(
-            mu, cov, chol, x0, m, rng, fixed_dt, beta, t_max
-        )
+        s_chunk, t_chunk = _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, t_max)
         sides[done : done + m] = s_chunk
         times[done : done + m] = t_chunk
         done += m
@@ -333,7 +326,7 @@ def _bridge_hit_times(k, a, b, var, dt, rng):
     return dt * w / (1.0 + w)
 
 
-def _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, beta, t_max):
+def _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, t_max):
     # Live paths stay compacted in (xb, xa, t, ids), in path order; every
     # step draws for them in that order (see "Monte Carlo determinism").
     sd = np.sqrt(np.diag(cov))
@@ -357,10 +350,10 @@ def _first_hit_chunk(mu, cov, chol, x0, m, rng, fixed_dt, beta, t_max):
         n = ids.size
         if fixed_dt is None:
             d = np.minimum(xb / sd_b, xa / sd_a)
-            dt = (beta * d) ** 2
+            dt = (_BETA * d) ** 2
             if ds > 0:
                 # Keep the drift displacement under beta * d as well.
-                dt = np.minimum(dt, beta * d / ds)
+                dt = np.minimum(dt, _BETA * d / ds)
         else:
             dt = np.full(n, fixed_dt)
         if censor:

@@ -217,43 +217,31 @@ def _merge_by_timestamp(sample):
     return all_times, vb, va
 
 
-def estimate_rho(sample, lag_cut=None, alignment="merge"):
+def estimate_rho(sample, lag_cut=None):
     """Cross-correlation of the two net flows' Gaussian limits.
 
     Computes the long-run correlation of the per-event size series: summed
     cross-covariances (both directions) over the long-run variances'
-    geometric mean, truncated at lag_cut. `alignment` controls how the two
-    sides' different clocks are reconciled:
-
-    * "merge" (default): outer-join on exact timestamps with zero fill, so
-      simultaneous bid/ask legs pair up and lone events pair with zero. This
-      is the alignment under which paired flows keep their correlation.
-      Mean sizes also feed flow covariance through event timing, so each
-      long-run moment picks up a renewal correction: the product of means
-      times the squared coefficient of variation of the merged gaps.
-    * "index": pair the i-th bid event with the i-th ask event. Kept as the
-      array-formulation alternative; the index offset between the sides'
-      clocks drifts, so genuinely paired flows decorrelate under it. No
-      timing correction applies (the pairing has no common clock).
+    geometric mean, truncated at lag_cut. The two sides' clocks are
+    reconciled by an outer join on exact timestamps with zero fill, so
+    simultaneous bid/ask legs pair up and lone events pair with zero; this
+    is the alignment under which paired flows keep their correlation
+    (pairing the i-th bid with the i-th ask event decorrelates them, as
+    tests/test_estimation.py shows on a re-timed sample). Mean sizes also
+    feed flow covariance through event timing, so each long-run moment picks
+    up a renewal correction: the product of means times the squared
+    coefficient of variation of the merged gaps.
 
     The estimate is clamped into (-1, 1) with a warning when the raw value
     falls on or outside the boundary.
     """
     if len(sample.bid_sizes) == 0 or len(sample.ask_sizes) == 0:
         raise ValueError("both sides must be populated to estimate rho")
+    all_times, vb, va = _merge_by_timestamp(sample)
+    gaps = np.diff(all_times)
     timing_cv2 = 0.0
-    if alignment == "merge":
-        all_times, vb, va = _merge_by_timestamp(sample)
-        gaps = np.diff(all_times)
-        if len(gaps) > 1 and gaps.mean() > 0:
-            timing_cv2 = float(np.var(gaps, ddof=1)) / float(gaps.mean()) ** 2
-    elif alignment == "index":
-        n = min(len(sample.bid_sizes), len(sample.ask_sizes))
-        if n == 0:
-            raise ValueError("no overlapping events under index alignment")
-        vb, va = sample.bid_sizes[:n], sample.ask_sizes[:n]
-    else:
-        raise ValueError(f"unknown alignment {alignment!r}")
+    if len(gaps) > 1 and gaps.mean() > 0:
+        timing_cv2 = float(np.var(gaps, ddof=1)) / float(gaps.mean()) ** 2
     n = len(vb)
     if n < 20:
         raise ValueError("too few aligned events to estimate rho")

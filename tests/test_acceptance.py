@@ -63,6 +63,7 @@ from lobdiff.flows import (
     gen_agent_flow,
     gen_poisson_flow,
 )
+from literal_forms import prob_up_arcsin, prob_up_arctan
 
 SEED = 77001
 
@@ -512,9 +513,9 @@ def test_drift_and_form_reductions():
         params = unit_rho(rho)
         for x in grid:
             for y in grid:
-                p1 = prob_up(x, y, params, form="cone")
-                p2 = prob_up(x, y, params, form="arctan")
-                p3 = prob_up(x, y, params, form="arcsin")
+                p1 = prob_up(x, y, params)
+                p2 = prob_up_arctan(x, y, params)
+                p3 = prob_up_arcsin(x, y, params)
                 worst_form = max(worst_form, abs(p1 - p2), abs(p2 - p3), abs(p1 - p3))
 
     ok = worst_drift < 1e-4 and worst_form < 1e-10

@@ -33,6 +33,13 @@ from lobdiff.analytics import (
 )
 from lobdiff.diffusion import DiffusionParams
 from lobdiff.flows import AgentMixSpec, Dist, PoissonFlowSpec
+from literal_forms import (
+    agent_literal_moments,
+    prob_up_arcsin,
+    prob_up_arctan,
+    survival_drifted_literal_sine,
+    survival_literal_radius,
+)
 
 SEED = 60601
 
@@ -107,9 +114,9 @@ def test_prob_up_three_forms_agree():
         params = unit_rho(rho)
         for _ in range(20):
             x, y = rng.uniform(0.1, 5.0, size=2)
-            p_cone = prob_up(x, y, params, form="cone")
-            p_atan = prob_up(x, y, params, form="arctan")
-            p_asin = prob_up(x, y, params, form="arcsin")
+            p_cone = prob_up(x, y, params)
+            p_atan = prob_up_arctan(x, y, params)
+            p_asin = prob_up_arcsin(x, y, params)
             assert abs(p_cone - p_atan) < 1e-10, (rho, x, y)
             assert abs(p_cone - p_asin) < 1e-10, (rho, x, y)
 
@@ -228,7 +235,7 @@ def test_survival_literal_radius_fails_against_mc():
     params = DiffusionParams(
         lambda_bid=2.0, lambda_ask=1.0, v2_bid=1.5, v2_ask=0.7, rho=0.5
     )
-    s = duration_survival(0.2, 1.2, 0.8, params, u_variant="literal")
+    s = survival_literal_radius(0.2, 1.2, 0.8, params)
     assert abs(s - 0.860846) > 20 * 0.000346
 
 
@@ -336,7 +343,7 @@ def test_drifted_survival_mc_fixture():
 def test_drifted_literal_inner_sine_fails_against_mc():
     # dropping the angular argument from the inner eigenfunction misprices
     # the short-horizon survival by ~60 standard errors
-    s = duration_survival_drifted(0.5, 1.0, 1.0, DRIFTED, inner_sine="literal")
+    s = survival_drifted_literal_sine(0.5, 1.0, 1.0, DRIFTED)
     assert abs(s - 0.619762) > 20 * 0.000485
 
 
@@ -392,13 +399,13 @@ def test_agent_mix_pair_corr_fixture():
 
 
 def test_agent_mix_literal_variant_disagrees():
-    _, v2_f, rho_f = agent_model_params(0.2, 0.3, 0.5, 1.0, 1.0, 1.0, variant="flow")
-    _, v2_l, rho_l = agent_model_params(0.2, 0.3, 0.5, 1.0, 1.0, 1.0, variant="literal")
+    _, v2_f, rho_f = agent_model_params(0.2, 0.3, 0.5, 1.0, 1.0, 1.0)
+    v2_l, rho_l = agent_literal_moments(0.2, 0.3, 0.5, 1.0, 1.0)
     assert rho_l == pytest.approx(-0.1, abs=1e-12)
     assert rho_f != pytest.approx(rho_l, abs=1e-3)
     # the correlation variants coincide when every trader is mixed (s = 1)
-    _, _, rho_s = agent_model_params(0.0, 0.0, 0.4, 1.0, 1.0, 1.0, variant="flow")
-    _, _, rho_s2 = agent_model_params(0.0, 0.0, 0.4, 1.0, 1.0, 1.0, variant="literal")
+    _, _, rho_s = agent_model_params(0.0, 0.0, 0.4, 1.0, 1.0, 1.0)
+    _, rho_s2 = agent_literal_moments(0.0, 0.0, 0.4, 1.0, 1.0)
     assert rho_s == pytest.approx(rho_s2, abs=1e-12)
 
 

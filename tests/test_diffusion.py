@@ -9,12 +9,15 @@ inverse-Gaussian distribution.
 
 import hashlib
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from lobdiff.analytics import prob_up
 from lobdiff.book import ASK_DEPLETED, BID_DEPLETED, exponential_reinit
 from lobdiff.diffusion import (
     SIDE_ASK,
@@ -24,7 +27,6 @@ from lobdiff.diffusion import (
     NetFlowReport,
     ScaledParams,
     SmoothFunction,
-    first_hit,
     first_hits,
     generator_apply,
     net_flow_fclt_check,
@@ -229,13 +231,13 @@ def test_fixed_and_adaptive_steps_agree():
 
 
 def test_first_hit_single_path():
-    side, t = first_hit(UNIT, (1.0, 1.0), seed=SEED)
-    assert side in (ASK_DEPLETED, BID_DEPLETED)
+    (side,), (t,) = first_hits(UNIT, (1.0, 1.0), 1, seed=SEED)
+    assert side in (SIDE_ASK, SIDE_BID)
     assert t > 0
-    side2, t2 = first_hit(UNIT, (1.0, 1.0), seed=SEED)
+    (side2,), (t2,) = first_hits(UNIT, (1.0, 1.0), 1, seed=SEED)
     assert (side, t) == (side2, t2)
-    side3, t3 = first_hit(UNIT, (50.0, 50.0), seed=SEED, t_max=0.25)
-    assert side3 is None and t3 == 0.25
+    (side3,), (t3,) = first_hits(UNIT, (50.0, 50.0), 1, seed=SEED, t_max=0.25)
+    assert side3 == SIDE_CENSORED and t3 == 0.25
 
 
 def test_first_hits_deterministic_and_chunk_invariant():
@@ -305,6 +307,30 @@ def test_first_hits_rejects_bad_input():
         first_hits(UNIT, (1.0, 1.0), 0, seed=1)
     with pytest.raises(ValueError):
         first_hits(UNIT, (1.0, 1.0), 10, seed=1, step=-0.1)
+
+
+def test_first_hits_rejects_drift_away_from_both_axes():
+    # Paths may escape forever, so an unbounded run need not end; the alarm
+    # turns a regression into a failure instead of a hung suite.
+    away = DiffusionParams(1.0, 1.0, vbar_bid=0.5, vbar_ask=0.5)
+
+    def hung(signum, frame):
+        raise TimeoutError("no ValueError within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="finite t_max"):
+            first_hits(away, (1, 1), 100, 1)
+        with pytest.raises(ValueError, match="finite t_max"):
+            prob_up(1.0, 1.0, away)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    sides, _ = first_hits(away, (1, 1), 100, 1, t_max=1.0)
+    assert sides.size == 100
 
 
 # ---------------------------------------------------------------------------

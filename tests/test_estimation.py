@@ -241,8 +241,10 @@ def test_rho_index_alignment_decorrelates_paired_flows():
         size_dist=Dist("constant", value=1.0),
     )
     sample = FlowSample.from_events(gen_agent_flow(spec, horizon=100_000.0, seed=SEED))
-    r_merge = estimate_rho(sample, alignment="merge")
-    r_index = estimate_rho(sample, alignment="index")
+    r_merge = estimate_rho(sample)
+    # re-timed so the i-th bid and i-th ask events share timestamp i: the
+    # merged clock then pairs events by index
+    r_index = estimate_rho(two_sided(sample.bid_sizes, sample.ask_sizes))
     assert abs(r_merge.value + 1.0 / 3.0) < 0.02
     assert abs(r_index.value) < abs(r_merge.value) / 2
 
@@ -252,7 +254,7 @@ def test_rho_rejects_empty_side_and_bad_alignment():
     with pytest.raises(ValueError, match="both sides"):
         estimate_rho(FlowSample(ev, []))
     s = two_sided(np.ones(100), np.ones(100))
-    with pytest.raises(ValueError, match="alignment"):
+    with pytest.raises(TypeError, match="alignment"):
         estimate_rho(s, alignment="bucketed")
 
 

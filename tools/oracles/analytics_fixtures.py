@@ -5,7 +5,8 @@ with the closed forms under test (wedge angles, Bessel series, tilted
 quadrature) and is itself validated against exact one-dimensional laws in
 test_diffusion.py. Run this script to regenerate every fixture; each block
 prints the value, its standard error, and the analytic counterparts so the
-adjudications (U variant, inner sine variant) are visible in the output.
+adjudications (U variant, inner sine variant) are visible in the output. The
+literal variants come from tests/literal_forms.py, their one home.
 
 Usage: python3 tools/oracles/analytics_fixtures.py [--quick]
 (--quick cuts path counts 100x for a smoke run; frozen numbers come from the
@@ -16,6 +17,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -27,6 +29,14 @@ from lobdiff.analytics import (
 )
 from lobdiff.diffusion import SIDE_ASK, DiffusionParams, first_hits
 from lobdiff.flows import agent_pair_table, AgentMixSpec, Dist
+
+# The counter-example formulas live with the tests that check them.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from literal_forms import (  # noqa: E402
+    agent_literal_moments,
+    survival_drifted_literal_sine,
+    survival_literal_radius,
+)
 
 
 def _survival_fixture(name, params, state, t_grid, n_paths, seed):
@@ -82,7 +92,7 @@ def main(argv=None):
                                        t_grid, n_mid, seed=20240803)
         for t, s_hat, se in rows:
             s_std = duration_survival(t, *state, p3)
-            s_lit = duration_survival(t, *state, p3, u_variant="literal")
+            s_lit = survival_literal_radius(t, *state, p3)
             print(f"  t={t:g}: standardized={s_std:.6f} literal={s_lit:.6f} "
                   f"mc={s_hat:.6f}+-{se:.6f}")
 
@@ -94,7 +104,7 @@ def main(argv=None):
                                    n_mid, seed=20240804)
     for t, s_hat, se in rows:
         s_cor = duration_survival_drifted(t, *state, pd)
-        s_lit = duration_survival_drifted(t, *state, pd, inner_sine="literal")
+        s_lit = survival_drifted_literal_sine(t, *state, pd)
         print(f"  t={t:g}: corrected={s_cor:.6f} literal={s_lit:.6f} "
               f"mc={s_hat:.6f}+-{se:.6f}")
 
@@ -117,8 +127,9 @@ def main(argv=None):
     pairs = agent_pair_table(spec, n_mid, 20240806)
     num = np.mean(pairs[:, 0] * pairs[:, 1])
     den = math.sqrt(np.mean(pairs[:, 0] ** 2) * np.mean(pairs[:, 1] ** 2))
+    _, rho_lit = agent_literal_moments(0.2, 0.3, 0.5, 1.0, 1.0)
     print(f"[agent rho] uncentered pair corr at {n_mid:.0e} = {num / den:.6f} "
-          f"(flow formula -1/3; literal variant -0.1)")
+          f"(flow formula -1/3; literal variant {rho_lit:.1f})")
     return 0
 
 
