@@ -13,7 +13,8 @@ Everything here rides on that picture:
   standardized radius (driftless case).
 * ``duration_survival_drifted``: the drifted exit time via an exponential
   change of measure over the killed wedge heat kernel (Zhou 2001), a
-  Bessel-series double integral.
+  Bessel-series double integral whose radial nodes are shared by every
+  angular node, so each series term evaluates one row of Bessel values.
 * ``duration_tail_index``: pi/(2 alpha); the driftless exit time is
   regularly varying, with no mean at rho = 0.
 * ``agent_model_params`` / ``flow_limit_params``: maps from order-flow model
@@ -25,6 +26,7 @@ formula here; printed variants that are equivalent or disagree with Monte
 Carlo are kept as counter-examples in ``tests/literal_forms.py``.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,6 +97,8 @@ def cone_geometry(x, y, params):
     is the quadratic form of the correlation-adjusted standardized
     coordinates: the radius the wedge Brownian motion actually starts from.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"state must be finite, got ({x}, {y})")
     if x <= 0 or y <= 0:
         raise ValueError(f"state must be strictly inside the orthant, got ({x}, {y})")
     sb, sa, rho = _correlation(params.covariance())
@@ -233,34 +237,43 @@ def drifted_duration_params(params):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms):
-    """One evaluation of the drifted survival double integral."""
+    """One drifted survival double integral, on one r-window for every theta."""
     alpha, theta0, r0 = geom.alpha, geom.theta0, geom.r0
     d = np.array([dd.d1, dd.d2])
     w0 = r0 * np.array([math.cos(theta0), math.sin(theta0)])
     log_pref = -float(d @ w0) - 0.5 * float(d @ d) * t
 
-    nodes_t, weights_t = np.polynomial.legendre.leggauss(n_theta)
+    nodes_t, weights_t = _leggauss(n_theta)
     theta = 0.5 * alpha * (nodes_t + 1.0)
     w_theta = 0.5 * alpha * weights_t
     proj = dd.d1 * np.cos(theta) + dd.d2 * np.sin(theta)
 
     # The r integrand is I_nu(r r0/t) times a Gaussian tilted by exp(r*proj);
     # completing the square puts its peak at r0 + t*proj, with width sqrt(t).
+    # One r-window reaches 12 widths past the lowest and the highest peak.
     srt = math.sqrt(t)
     peak = r0 + t * proj
-    lo = np.maximum(0.0, peak - 12.0 * srt)
-    hi = np.maximum(peak, 0.0) + 12.0 * srt
-    nodes_r, weights_r = np.polynomial.legendre.leggauss(n_r)
+    lo = max(0.0, float(np.min(peak)) - 12.0 * srt)
+    hi = max(float(np.max(peak)), 0.0) + 12.0 * srt
+    nodes_r, weights_r = _leggauss(n_r)
     half = 0.5 * (hi - lo)
-    R = lo[:, None] + half[:, None] * (nodes_r[None, :] + 1.0)
-    W = half[:, None] * weights_r[None, :]
+    R = lo + half * (nodes_r + 1.0)
 
     # exp(-(r-r0)^2/2t + r proj) carries the kernel's e^{-r0^2/2t} factor;
     # shift by the max exponent so the tilt cannot overflow.
     expo = -((R - r0) ** 2) / (2.0 * t) + R * proj[:, None]
     shift = float(np.max(expo))
-    base = R * np.exp(expo - shift) * W
+    base = R * np.exp(expo - shift) * (half * weights_r)
     scale_log = log_pref + shift
     if scale_log < -745.0:
         return 0.0
@@ -272,7 +285,7 @@ def _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms):
     for n in range(1, max_terms + 1):
         nu = n * math.pi / alpha
         inner = np.sin(nu * theta)
-        radial = np.sum(special.ive(nu, z) * base, axis=1)
+        radial = base @ special.ive(nu, z)
         contrib = math.sin(nu * theta0) * float(np.sum(w_theta * inner * radial))
         total += contrib
         if abs(contrib) < 1e-13 * max(1.0, abs(total)):
@@ -284,6 +297,46 @@ def _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms):
     return (2.0 / (alpha * t)) * scale * total
 
 
+def _drifted_survival_and_gap(
+    t, x, y, params, n_theta=160, n_r=400, quad_tol=1e-4, max_terms=80
+):
+    """(values, gaps) of duration_survival_drifted, as arrays shaped like t.
+
+    gaps holds |fine - coarse| at each t: the quadrature's own error estimate,
+    which run reports carry as a health figure.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0):
+        raise ValueError("t must be > 0")
+    geom = cone_geometry(x, y, params)
+    dd = drifted_duration_params(params)
+    values = np.empty_like(t_arr)
+    gaps = np.empty_like(t_arr)
+    for i, ti in np.ndenumerate(t_arr):
+        ti = float(ti)
+        coarse = _drifted_quadrature(ti, geom, dd, n_theta // 2, n_r // 2, max_terms)
+        value = _drifted_quadrature(ti, geom, dd, n_theta, n_r, max_terms)
+        if not (math.isfinite(value) and math.isfinite(coarse)):
+            raise ValueError(
+                f"drifted survival at t={ti:g} is not finite "
+                f"(coarse {coarse}, fine {value})"
+            )
+        gaps[i] = abs(value - coarse)
+        if gaps[i] > quad_tol:
+            warnings.warn(
+                f"quadrature refinement at t={ti:g} still moves the value by "
+                f"{gaps[i]:.2e} (> {quad_tol:.0e}); increase n_theta/n_r",
+                RuntimeWarning,
+            )
+        if value < -1e-9 or value > 1.0 + 1e-9:
+            warnings.warn(
+                f"survival value {value:.6g} at t={ti:g} clamped into [0, 1]",
+                RuntimeWarning,
+            )
+        values[i] = min(1.0, max(0.0, value))
+    return values, gaps
+
+
 def duration_survival_drifted(
     t, x, y, params, n_theta=160, n_r=400, quad_tol=1e-4, max_terms=80
 ):
@@ -291,34 +344,22 @@ def duration_survival_drifted(
 
     Integrates the killed wedge heat kernel against the exponential tilt of
     the drift: a Bessel series over wedge harmonics, each term a
-    Gauss-Legendre double integral over (theta, r). The integral is run at
-    half and at full resolution; if the two disagree by more than quad_tol a
-    RuntimeWarning reports the achieved bound. Values are clamped to [0, 1],
-    with a warning when the excursion exceeds numerical noise. The theta
-    integrand carries the wedge eigenfunction sin(n pi theta / alpha).
+    Gauss-Legendre double integral over (theta, r). The theta integrand
+    carries the wedge eigenfunction sin(n pi theta / alpha); the r nodes lie
+    on one window shared by every theta, so each term needs n_r Bessel
+    values. The integral is run at half and at full resolution; if the two
+    disagree by more than quad_tol a RuntimeWarning names the t and the
+    achieved bound. Values are clamped to [0, 1], with a warning when the
+    excursion exceeds numerical noise; a non-finite value raises ValueError.
 
     Reduces to :func:`duration_survival` (within quad_tol) when the drift
-    vanishes. t is scalar here -- the drifted evaluation is quadrature-bound,
-    loop externally for tables.
+    vanishes. t may be a scalar (float result) or an array (array result);
+    each t costs one coarse and one fine quadrature.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    geom = cone_geometry(x, y, params)
-    dd = drifted_duration_params(params)
-    coarse = _drifted_quadrature(t, geom, dd, n_theta // 2, n_r // 2, max_terms)
-    value = _drifted_quadrature(t, geom, dd, n_theta, n_r, max_terms)
-    err = abs(value - coarse)
-    if err > quad_tol:
-        warnings.warn(
-            f"quadrature refinement still moves the value by {err:.2e} "
-            f"(> {quad_tol:.0e}); increase n_theta/n_r",
-            RuntimeWarning,
-        )
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        warnings.warn(
-            f"survival value {value:.6g} clamped into [0, 1]", RuntimeWarning
-        )
-    return min(1.0, max(0.0, value))
+    values, _ = _drifted_survival_and_gap(
+        t, x, y, params, n_theta, n_r, quad_tol, max_terms
+    )
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

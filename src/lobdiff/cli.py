@@ -38,8 +38,8 @@ from scipy import stats
 from . import __version__
 from ._rng import child_seed, substream
 from .analytics import (
+    _drifted_survival_and_gap,
     duration_survival,
-    duration_survival_drifted,
     flow_limit_params,
     prob_up,
     prob_up_mc,
@@ -738,7 +738,7 @@ def cmd_duration(args):
     _, times = first_hits(params, (x, y), n_paths, child_seed(seed, "dur"), t_max=t_max)
     laps.lap("mc")
     if drifted:
-        analytic = np.array([duration_survival_drifted(t, x, y, params) for t in t_grid])
+        analytic, quad_gap = _drifted_survival_and_gap(np.asarray(t_grid), x, y, params)
     else:
         analytic = duration_survival(np.asarray(t_grid), x, y, params)
     laps.lap("analytic")
@@ -783,6 +783,8 @@ def cmd_duration(args):
         "checks": _check_rows(checks),
         "pass": passed,
     }
+    if drifted:
+        doc["diagnostics"] = {"quad_gap": quad_gap.tolist()}
     write_json(_out_path(args, "duration_report.json"), doc)
     write_grid_csv(_out_path(args, "duration_curve.csv"), "t,analytic,mc,se", rows)
     laps.lap("write")

@@ -57,7 +57,7 @@ bytes of a few runs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import stats
@@ -114,6 +114,9 @@ class DiffusionParams:
     rho: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("lambda_bid", "lambda_ask", "v2_bid", "v2_ask"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

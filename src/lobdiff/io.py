@@ -181,12 +181,35 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _first_non_finite(value, path):
+    """JSON path and value of the first NaN or infinite number in `value`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for sub_path, sub in items:
+        found = _first_non_finite(sub, sub_path)
+        if found:
+            return found
+    return None
+
+
 def load_json(path):
+    """Parse a JSON config, refusing by location any number that is not finite:
+    the NaN and +-Infinity tokens, and literals such as 1e400 that overflow."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    found = _first_non_finite(doc, "$")
+    if found:
+        raise ConfigError(f"{path}: {found[0]}: number {found[1]} is not finite")
+    return doc
 
 
 def sha256_hex(path):

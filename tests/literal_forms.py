@@ -79,8 +79,8 @@ def survival_drifted_literal_sine(t, x, y, params):
     """duration_survival_drifted with the inner eigenfunction frozen at
     theta = 1: sin(n pi / alpha) in place of sin(n pi theta / alpha).
 
-    The quadrature is a copy of analytics._drifted_quadrature at the
-    library's default full resolution, changed only in that factor; the
+    The quadrature is the per-node-window form, which gives every theta
+    node its own r-window, at the library's default full resolution; the
     value is clamped to [0, 1] as the library clamps it.
     """
     n_theta, n_r, max_terms = 160, 400, 80

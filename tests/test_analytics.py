@@ -378,6 +378,117 @@ def test_drifted_params_container_is_frozen():
         dd.a1 = 1.0
 
 
+# Values of duration_survival_drifted recorded from the per-node-window form
+# of the quadrature, which gave every theta node its own r-window: (rho,
+# (vbar_bid, vbar_ask), (lambda_bid, lambda_ask, v2_bid, v2_ask), state, t,
+# value). The last three rows have large t*|d|, where the shared r-window is
+# widest; the row before them is the calibrated fixture's parameters.
+_PER_NODE_WINDOW_VALUES = [
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 0.1, 0.9959904101867885),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 0.5, 0.6397507764091073),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 2.0, 0.15958230639403526),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 7.0, 0.019998103880118762),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (0.6, 1.8), 0.1, 0.9310524275306062),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (0.6, 1.8), 0.5, 0.5225042786609354),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (0.6, 1.8), 2.0, 0.15469247117890905),
+    (0.0, (-0.3, -0.2), (1.0, 1.0, 1.0, 1.0), (0.6, 1.8), 7.0, 0.021286688900005932),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (1.0, 1.0), 0.1, 0.9611091003149664),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (1.0, 1.0), 0.5, 0.4778233985408763),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (1.0, 1.0), 2.0, 0.12460019355166253),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (1.0, 1.0), 7.0, 0.024070410438680735),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (0.6, 1.8), 0.1, 0.9052281217056385),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (0.6, 1.8), 0.5, 0.5388424308896728),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (0.6, 1.8), 2.0, 0.17134682246986488),
+    (-0.3, (0.4, -0.5), (1.5, 1.0, 1.0, 2.0), (0.6, 1.8), 7.0, 0.03540329088996432),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (1.0, 1.0), 0.1, 0.973066299429503),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (1.0, 1.0), 0.5, 0.621841328948),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (1.0, 1.0), 2.0, 0.2893702910280906),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (1.0, 1.0), 7.0, 0.12012759973160272),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (0.6, 1.8), 0.1, 0.8686745063608143),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (0.6, 1.8), 0.5, 0.46975261352909026),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (0.6, 1.8), 2.0, 0.2084165716412971),
+    (0.6, (-0.2, 0.3), (1.0, 2.0, 1.5, 1.0), (0.6, 1.8), 7.0, 0.08368455672868146),
+    (
+        0.07,
+        (-1033.0 / 30.0, -2467.0 / 30.0),
+        (1.0, 1.0, 6256.0**2 / 30.0, 4457.0**2 / 30.0),
+        (6256.0, 4457.0),
+        30.0,
+        0.31808960775001816,
+    ),
+    (-0.5, (2.0, 2.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 10.0, 0.9633808981152019),
+    (-0.5, (-1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 20.0, 4.2404987460611566e-07),
+    (-0.5, (-3.0, 3.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0), 50.0, 8.624213934752956e-101),
+]
+
+
+def _drifted_params(rho, vbar, rates):
+    lb, la, v2b, v2a = rates
+    return DiffusionParams(
+        lambda_bid=lb, lambda_ask=la, vbar_bid=vbar[0], vbar_ask=vbar[1],
+        v2_bid=v2b, v2_ask=v2a, rho=rho,
+    )
+
+
+@pytest.mark.parametrize("rho, vbar, rates, state, t, expected", _PER_NODE_WINDOW_VALUES)
+def test_drifted_shared_window_matches_per_node_windows(rho, vbar, rates, state, t, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = duration_survival_drifted(t, *state, _drifted_params(rho, vbar, rates))
+    assert isinstance(s, float)
+    assert abs(s - expected) <= 1e-13
+    # the 1e-101 row would pass any absolute bound; hold it to relative error
+    assert abs(s - expected) <= 1e-12 * expected
+
+
+def test_drifted_quad_tol_warns_on_too_few_nodes():
+    # the widest shared window of the pinned rows, on a far too coarse grid
+    params = _drifted_params(-0.5, (2.0, 2.0), (1.0, 1.0, 1.0, 1.0))
+    with pytest.warns(RuntimeWarning, match=r"refinement at t=10 still moves"):
+        duration_survival_drifted(10.0, 1.0, 1.0, params, n_theta=40, n_r=24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        duration_survival_drifted(10.0, 1.0, 1.0, params)
+
+
+def test_drifted_array_t_equals_scalar_loop():
+    ts = np.array([[0.1, 0.5], [2.0, 7.0]])
+    got = duration_survival_drifted(ts, 0.6, 1.8, DRIFTED)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    loop = [duration_survival_drifted(float(t), 0.6, 1.8, DRIFTED) for t in ts.ravel()]
+    assert got.ravel().tolist() == loop
+    with pytest.raises(ValueError, match="t must be > 0"):
+        duration_survival_drifted(np.array([0.5, 0.0]), 1.0, 1.0, DRIFTED)
+
+
+def test_drifted_quad_gap_is_coarse_fine_difference():
+    from lobdiff.analytics import _drifted_survival_and_gap
+
+    ts = np.array([0.5, 2.0])
+    values, gaps = _drifted_survival_and_gap(ts, 1.0, 1.0, DRIFTED)
+    assert values.tolist() == duration_survival_drifted(ts, 1.0, 1.0, DRIFTED).tolist()
+    coarse = duration_survival_drifted(ts, 1.0, 1.0, DRIFTED, n_theta=80, n_r=200)
+    assert gaps.tolist() == np.abs(values - coarse).tolist()
+    assert np.all(gaps < 1e-4)
+
+
+def test_drifted_non_finite_value_raises_instead_of_clamping():
+    # finite parameters whose tilt overflows: the quadrature returns NaN,
+    # which the clamp would have turned into a confident 0.0
+    huge = DiffusionParams(lambda_bid=1.0, lambda_ask=1.0, vbar_bid=1e300, vbar_ask=-0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            duration_survival_drifted(0.5, 1.0, 1.0, huge)
+    with pytest.raises(ValueError, match="not finite"):
+        duration_survival_drifted(float("nan"), 1.0, 1.0, DRIFTED)
+
+
+@pytest.mark.parametrize("state", [(1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+def test_cone_geometry_rejects_non_finite_state(state):
+    with pytest.raises(ValueError, match="must be finite"):
+        cone_geometry(*state, UNIT)
+
+
 # ---------------------------------------------------------------------------
 # Agent mix and flow limits
 

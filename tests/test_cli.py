@@ -9,6 +9,7 @@ run_meta.json sidecar, which records wall-clock details by design.
 import hashlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -253,6 +254,32 @@ def test_duration_drifted_params_use_quadrature(tmp_path):
     assert report["pass"] is True
 
 
+def test_duration_drifted_report_carries_quad_gap(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "dur.json",
+        {
+            **DUR_CFG,
+            "params": {**DUR_CFG["params"], "vbar_bid": -0.2, "vbar_ask": -0.1},
+            "t_grid": [1.0, 0.5],
+            "n_paths": 2000,
+        },
+    )
+    runs = []
+    for name in ("a", "b"):
+        assert run(["duration", "--config", cfg, "--out", tmp_path / name]) in (0, 1)
+        runs.append(all_outputs(tmp_path / name))
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0]["duration_report.json"])
+    gaps = report["diagnostics"]["quad_gap"]
+    # one gap per t, in sorted t_grid order, each within the default quad_tol
+    assert len(gaps) == 2
+    assert all(0.0 <= g < 1e-4 for g in gaps)
+    driftless = write_config(tmp_path, "flat.json", {**DUR_CFG, "n_paths": 2000})
+    assert run(["duration", "--config", driftless, "--out", tmp_path / "c"]) in (0, 1)
+    assert "diagnostics" not in json.loads((tmp_path / "c" / "duration_report.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # validate-fclt
 
@@ -472,6 +499,48 @@ def test_unusable_input_exits_two_with_location(tmp_path, capsys, command, cfg, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra, where, value",
+    [
+        (
+            "pup",
+            {**PUP_CFG, "params": {**PUP_CFG["params"], "lambda_bid": math.nan}},
+            ["--paths", 100],
+            "$.params.lambda_bid",
+            "nan",
+        ),
+        (
+            "duration",
+            {**DUR_CFG, "params": {**DUR_CFG["params"], "vbar_bid": math.nan}},
+            [],
+            "$.params.vbar_bid",
+            "nan",
+        ),
+        ("duration", {**DUR_CFG, "state": [1.0, math.inf]}, [], "$.state[1]", "inf"),
+    ],
+    ids=["pup-lambda-nan", "duration-vbar-nan", "duration-state-inf"],
+)
+def test_non_finite_config_exits_two_with_location(tmp_path, capsys, command, cfg, extra, where, value):
+    # json.dumps writes the NaN/Infinity tokens that json.loads accepts by
+    # default; such a number used to hang pup or price a survival at 0.0
+    path = write_config(tmp_path, "cfg.json", cfg)
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{command} did not exit within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        code = run([command, "--config", path, "--out", tmp_path / "x", *extra])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {where}: number {value} is not finite")
+    assert not (tmp_path / "x").exists()
 
 
 def test_estimate_slow_tape_names_gamma1(tmp_path, capsys):

@@ -75,6 +75,16 @@ def test_diffusion_params_validation():
         DiffusionParams(lambda_bid=1.0, lambda_ask=1.0, rho=1.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["lambda_bid", "lambda_ask", "vbar_bid", "vbar_ask", "v2_bid", "v2_ask", "rho"]
+)
+def test_diffusion_params_reject_non_finite(field):
+    # NaN passes every `<= 0` and range check; it must not reach first_hits
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DiffusionParams(**{"lambda_bid": 1.0, "lambda_ask": 1.0, field: bad})
+
+
 def test_scaled_params_validation():
     ScaledParams(mu_bid=0.0, mu_ask=0.0, Lambda=np.eye(2), N=5.0)
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from lobdiff.book import (
 from lobdiff.io import (
     ConfigError,
     jsonable,
+    load_json,
     read_events_csv,
     sha256_hex,
     validate_schema,
@@ -156,6 +157,30 @@ def test_write_json_canonical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().endswith("\n")
     assert json.loads(p1.read_text()) == {"a": [1.5, 2], "b": 1}
+
+
+@pytest.mark.parametrize(
+    "text, where, value",
+    [
+        ('{"a": NaN}', "$.a", "nan"),
+        ('{"a": {"b": [1.0, 2.0, -Infinity]}}', "$.a.b[2]", "-inf"),
+        ('[{"x": 1}, {"y": Infinity}]', "$[1].y", "inf"),
+        ('{"a": [1e400]}', "$.a[0]", "inf"),
+    ],
+)
+def test_load_json_rejects_non_finite_numbers_by_location(tmp_path, text, where, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_json(p)
+    assert str(err.value) == f"{p}: {where}: number {value} is not finite"
+
+
+def test_load_json_keeps_finite_documents(tmp_path):
+    p = tmp_path / "cfg.json"
+    doc = {"a": [1, 2.5, -1e308], "b": {"c": None, "d": "NaN", "e": True}}
+    p.write_text(json.dumps(doc))
+    assert load_json(p) == doc
 
 
 def test_sha256_hex(tmp_path):
