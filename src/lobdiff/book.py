@@ -31,6 +31,7 @@ both raw event replay and rescaled (size / sqrt(n)) inputs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,12 @@ class BookState:
     q_ask: float
 
     def __post_init__(self):
-        if self.tick <= 0 or not math.isfinite(self.tick):
-            raise ValueError(f"tick must be positive, got {self.tick}")
-        if self.q_bid < 0 or self.q_ask < 0:
-            raise ValueError(
-                f"queue sizes must be >= 0, got ({self.q_bid}, {self.q_ask})"
-            )
+        if not isinstance(self.bid_price_ticks, numbers.Integral):
+            raise ValueError(f"bid_price_ticks must be an integer, got {self.bid_price_ticks}")
+        for name in ("tick", "q_bid", "q_ask"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def ask_price_ticks(self):
@@ -117,6 +118,9 @@ class ReinitRule:
         the matching sampler; `g` must return a strictly positive pair and
         should be bounded below by a fixed multiple of min(eps) so that
         reinitializations cannot accumulate on the axes.
+
+    Both pegged betas must lie in [0, 1) whatever the variant, so a rule
+    never holds a value it would refuse if it read it.
     """
 
     variant: str = IID
@@ -131,10 +135,9 @@ class ReinitRule:
             raise ValueError(f"unknown reinit variant {self.variant!r}")
         if self.sampler_up is None or self.sampler_down is None:
             raise ValueError("both sampler_up and sampler_down are required")
-        if self.variant == PEGGED:
-            for beta in (self.pegged_beta_bid, self.pegged_beta_ask):
-                if not (0 <= beta < 1):
-                    raise ValueError(f"pegged betas must lie in [0, 1), got {beta}")
+        for beta in (self.pegged_beta_bid, self.pegged_beta_ask):
+            if not (0 <= beta < 1):
+                raise ValueError(f"pegged betas must lie in [0, 1), got {beta}")
         if self.variant == GENERAL and self.g is None:
             raise ValueError("variant 'general' requires g")
 
@@ -161,7 +164,13 @@ class ReinitRule:
 
 
 def exponential_reinit(mean_bid, mean_ask):
-    """IID rule with independent exponential queue draws (same law both sides)."""
+    """IID rule with independent exponential queue draws (same law both sides).
+
+    Both means must be finite and > 0.
+    """
+    for name, mean in (("mean_bid", mean_bid), ("mean_ask", mean_ask)):
+        if not (mean > 0 and math.isfinite(mean)):
+            raise ValueError(f"{name} must be > 0 and finite, got {mean}")
 
     def sampler(rng):
         return (rng.exponential(mean_bid), rng.exponential(mean_ask))
@@ -170,7 +179,13 @@ def exponential_reinit(mean_bid, mean_ask):
 
 
 def geometric_reinit(mean_bid, mean_ask):
-    """IID rule drawing integer-valued queues >= 1 (geometric on {1, 2, ...})."""
+    """IID rule drawing integer-valued queues >= 1 (geometric on {1, 2, ...}).
+
+    Both means must be finite and >= 1, so that p = 1 / mean lies in (0, 1].
+    """
+    for name, mean in (("mean_bid", mean_bid), ("mean_ask", mean_ask)):
+        if not (mean >= 1 and math.isfinite(mean)):
+            raise ValueError(f"{name} must be >= 1 and finite for a geometric rule, got {mean}")
     p_b = 1.0 / mean_bid
     p_a = 1.0 / mean_ask
 
@@ -229,29 +244,6 @@ class PricePath:
         return self.steps[:, 1].astype(np.int64)
 
 
-def apply_event(book, ev, rule, rng):
-    """Apply one event to the book, redrawing both queues on depletion.
-
-    Returns the new BookState. If the affected queue stays strictly positive
-    the other queue and the price are untouched; if the event drives it to
-    zero or below, the price moves one tick against the depleted side, the
-    event is consumed, and both queues are redrawn via `rule`.
-    """
-    if not isinstance(ev, OrderEvent):
-        ev = OrderEvent(*ev)
-    if ev.side == BID:
-        q = book.q_bid + ev.delta
-        if q > 0:
-            return BookState(book.bid_price_ticks, book.tick, q, book.q_ask)
-        new_b, new_a = rule.draw(BID_DEPLETED, q, book.q_ask, rng)
-        return BookState(book.bid_price_ticks - 1, book.tick, new_b, new_a)
-    q = book.q_ask + ev.delta
-    if q > 0:
-        return BookState(book.bid_price_ticks, book.tick, book.q_bid, q)
-    new_b, new_a = rule.draw(ASK_DEPLETED, book.q_bid, q, rng)
-    return BookState(book.bid_price_ticks + 1, book.tick, new_b, new_a)
-
-
 def regulate(times, values, rule, rng):
     """Regulate a sampled planar path into the positive quadrant.
 
@@ -307,13 +299,17 @@ def regulate(times, values, rule, rng):
 
 
 def replay(events, initial, rule, rng):
-    """Fold `apply_event` over an event stream.
+    """Run an event stream through the book, one event at a time.
+
+    Each event adds its delta to its queue. An event that takes its queue to
+    zero or below is consumed whole: the price moves one tick against the
+    depleted side and both queues are redrawn by `rule`.
 
     Parameters
     ----------
     events : columnar (times, sides, deltas) triple, sorted by time, with
         sides coded 0 = bid, 1 = ask; a sequence of OrderEvent is accepted too.
-    initial : BookState strictly inside the quadrant.
+    initial : BookState (its queues are strictly positive by construction).
     rule, rng : reinitialization rule and generator.
 
     Returns (RegulatedPath, PricePath). The regulated path has the initial
@@ -321,8 +317,6 @@ def replay(events, initial, rule, rng):
     at the initial bid price and records one step per price change. The jump
     count always equals the price-change count.
     """
-    if not (initial.q_bid > 0 and initial.q_ask > 0):
-        raise ValueError("initial book must have strictly positive queues")
     times, sides, deltas = _as_columns(events)
     jumps = []
     price_steps = [(0.0, float(initial.bid_price_ticks))]

@@ -12,9 +12,14 @@ One binary, five subcommands:
   time grid.
 * ``estimate``       -- full parameter report from an order-event CSV.
 
-Every command takes ``--config`` (a JSON document, schema-checked with
-path-qualified errors), ``--seed``/``--paths`` overrides, ``--out`` for the
-output directory, and ``--format {csv,json}`` for what is printed to stdout.
+Every command takes ``--config`` (a JSON document), ``--seed``/``--paths``
+overrides, ``--out`` for the output directory, and ``--format {csv,json}``
+for what is printed to stdout. A config's schema checks only its shape:
+types, required and unknown keys, and bounds on command settings such as
+path counts. Every rule on a model value (rates > 0, rho in (-1, 1),
+reinit means, ...) lives in the constructor of the model object, and
+`_build` reports its refusal at the block's JSON path, e.g.
+``$.flow: mu_market must be > 0 and finite, got 0.0``.
 All randomness descends from the one seed through named substreams, so
 outputs are byte-identical across reruns; wall-clock details live in a
 ``run_meta.json`` sidecar that is excluded from that guarantee. Exit code 0
@@ -44,10 +49,10 @@ from .analytics import (
     prob_up,
     prob_up_mc,
 )
-from .book import PEGGED, BookState, ReinitRule, exponential_reinit, geometric_reinit, replay
+from .book import IID, PEGGED, BookState, ReinitRule, exponential_reinit, geometric_reinit, replay
 from .diffusion import DiffusionParams, first_hits, net_flow_fclt_check, simulate_Q
 from .estimation import FlowSample, estimate_report, mean_inter_event_time
-from .flows import AgentMixSpec, Dist, PoissonFlowSpec, gen_flow
+from .flows import _DIST_KINDS, AgentMixSpec, Dist, PoissonFlowSpec, gen_flow
 from .io import (
     ConfigError,
     load_json,
@@ -92,20 +97,18 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # Config blocks -> model objects
 
-_DIST_KINDS = ("constant", "exponential", "lognormal", "pareto", "uniform")
-
 _DIST_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
         "kind": {"type": "string", "enum": list(_DIST_KINDS)},
-        "value": {"type": "number", "exclusiveMinimum": 0},
-        "mean": {"type": "number", "exclusiveMinimum": 0},
-        "sigma": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "minimum": {"type": "number", "exclusiveMinimum": 0},
-        "low": {"type": "number", "exclusiveMinimum": 0},
-        "high": {"type": "number", "exclusiveMinimum": 0},
+        "value": {"type": "number"},
+        "mean": {"type": "number"},
+        "sigma": {"type": "number"},
+        "alpha": {"type": "number"},
+        "minimum": {"type": "number"},
+        "low": {"type": "number"},
+        "high": {"type": "number"},
     },
 }
 
@@ -114,10 +117,10 @@ _POISSON_SCHEMA = {
     "required": ["kind", "lambda_limit", "mu_market", "theta_cancel"],
     "properties": {
         "kind": {},
-        "lambda_limit": {"type": "number", "exclusiveMinimum": 0},
-        "mu_market": {"type": "number", "minimum": 0},
-        "theta_cancel": {"type": "number", "minimum": 0},
-        "unit_size": {"type": "number", "exclusiveMinimum": 0},
+        "lambda_limit": {"type": "number"},
+        "mu_market": {"type": "number"},
+        "theta_cancel": {"type": "number"},
+        "unit_size": {"type": "number"},
     },
 }
 
@@ -126,9 +129,9 @@ _AGENT_SCHEMA = {
     "required": ["kind", "m", "l", "gamma", "duration", "size"],
     "properties": {
         "kind": {},
-        "m": {"type": "number", "minimum": 0, "maximum": 1},
-        "l": {"type": "number", "minimum": 0, "maximum": 1},
-        "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "m": {"type": "number"},
+        "l": {"type": "number"},
+        "gamma": {"type": "number"},
         "duration": {"type": "object", "open": True},
         "size": {"type": "object", "open": True},
         "flip_market_signs": {"type": "boolean"},
@@ -139,13 +142,13 @@ _PARAMS_SCHEMA = {
     "type": "object",
     "required": ["lambda_bid", "lambda_ask", "v2_bid", "v2_ask"],
     "properties": {
-        "lambda_bid": {"type": "number", "exclusiveMinimum": 0},
-        "lambda_ask": {"type": "number", "exclusiveMinimum": 0},
+        "lambda_bid": {"type": "number"},
+        "lambda_ask": {"type": "number"},
         "vbar_bid": {"type": "number"},
         "vbar_ask": {"type": "number"},
-        "v2_bid": {"type": "number", "exclusiveMinimum": 0},
-        "v2_ask": {"type": "number", "exclusiveMinimum": 0},
-        "rho": {"type": "number", "exclusiveMinimum": -1, "maximum": 1},
+        "v2_bid": {"type": "number"},
+        "v2_ask": {"type": "number"},
+        "rho": {"type": "number"},
     },
 }
 
@@ -154,20 +157,25 @@ _REINIT_SCHEMA = {
     "required": ["kind"],
     "properties": {
         "kind": {"type": "string", "enum": ["exponential", "geometric", "pegged"]},
-        "mean_bid": {"type": "number", "exclusiveMinimum": 0},
-        "mean_ask": {"type": "number", "exclusiveMinimum": 0},
-        "beta_bid": {"type": "number", "minimum": 0},
-        "beta_ask": {"type": "number", "minimum": 0},
+        "mean_bid": {"type": "number"},
+        "mean_ask": {"type": "number"},
+        "beta_bid": {"type": "number"},
+        "beta_ask": {"type": "number"},
     },
 }
 
 
-def _dist_from_config(block, where):
-    validate_schema(block, _DIST_SCHEMA, where)
+def _build(where, make, *args, **kw):
+    """``make(*args, **kw)``; a value it rejects becomes a ConfigError at `where`."""
     try:
-        return Dist(**block)
+        return make(*args, **kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _dist_from_config(block, where):
+    validate_schema(block, _DIST_SCHEMA, where)
+    return _build(where, Dist, **block)
 
 
 def _flow_from_config(block, where):
@@ -177,56 +185,43 @@ def _flow_from_config(block, where):
     if kind == "poisson":
         validate_schema(block, _POISSON_SCHEMA, where)
         fields = {k: v for k, v in block.items() if k != "kind"}
-        try:
-            return PoissonFlowSpec(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return _build(where, PoissonFlowSpec, **fields)
     if kind == "agent":
         validate_schema(block, _AGENT_SCHEMA, where)
-        duration = _dist_from_config(block["duration"], f"{where}.duration")
-        size = _dist_from_config(block["size"], f"{where}.size")
-        try:
-            return AgentMixSpec(
-                m=block["m"],
-                l=block["l"],
-                gamma=block["gamma"],
-                duration_dist=duration,
-                size_dist=size,
-                flip_market_signs=block.get("flip_market_signs", False),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return _build(
+            where,
+            AgentMixSpec,
+            m=block["m"],
+            l=block["l"],
+            gamma=block["gamma"],
+            duration_dist=_dist_from_config(block["duration"], f"{where}.duration"),
+            size_dist=_dist_from_config(block["size"], f"{where}.size"),
+            flip_market_signs=block.get("flip_market_signs", False),
+        )
     raise ConfigError(f"{where}.kind: must be one of 'poisson', 'agent', got {kind!r}")
 
 
 def _params_from_config(block, where):
     validate_schema(block, _PARAMS_SCHEMA, where)
-    try:
-        return DiffusionParams(**block)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _build(where, DiffusionParams, **block)
 
 
-def _reinit_from_config(block, where):
+def _reinit_from_config(block, where, mean_scale=1.0):
+    """The reinit rule of a config block, its means multiplied by `mean_scale`."""
     validate_schema(block, _REINIT_SCHEMA, where)
-    kind = block["kind"]
-    mean_bid = block.get("mean_bid", 1.0)
-    mean_ask = block.get("mean_ask", 1.0)
-    if kind == "exponential":
-        return exponential_reinit(mean_bid, mean_ask)
-    if kind == "geometric":
-        return geometric_reinit(mean_bid, mean_ask)
-    base = exponential_reinit(mean_bid, mean_ask)
-    try:
-        return ReinitRule(
-            variant=PEGGED,
-            sampler_up=base.sampler_up,
-            sampler_down=base.sampler_down,
-            pegged_beta_bid=block.get("beta_bid", 0.0),
-            pegged_beta_ask=block.get("beta_ask", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    make = geometric_reinit if block["kind"] == "geometric" else exponential_reinit
+    mean_bid = block.get("mean_bid", 1.0) * mean_scale
+    mean_ask = block.get("mean_ask", 1.0) * mean_scale
+    base = _build(where, make, mean_bid, mean_ask)
+    return _build(
+        where,
+        ReinitRule,
+        variant=PEGGED if block["kind"] == "pegged" else IID,
+        sampler_up=base.sampler_up,
+        sampler_down=base.sampler_down,
+        pegged_beta_bid=block.get("beta_bid", 0.0),
+        pegged_beta_ask=block.get("beta_ask", 0.0),
+    )
 
 
 def _params_from_target(mu, sigma):
@@ -337,10 +332,10 @@ _SIMULATE_SCHEMA = {
             "type": "object",
             "required": ["q_bid", "q_ask"],
             "properties": {
-                "q_bid": {"type": "number", "exclusiveMinimum": 0},
-                "q_ask": {"type": "number", "exclusiveMinimum": 0},
+                "q_bid": {"type": "number"},
+                "q_ask": {"type": "number"},
                 "bid_price_ticks": {"type": "integer"},
-                "tick": {"type": "number", "exclusiveMinimum": 0},
+                "tick": {"type": "number"},
             },
         },
         "reinit": {"type": "object", "open": True},
@@ -357,12 +352,8 @@ def cmd_simulate_lob(args):
     seed = _resolve_seed(args, cfg)
     flow_spec = _flow_from_config(cfg["flow"], "$.flow")
     rule = _reinit_from_config(cfg["reinit"], "$.reinit")
-    init = cfg["initial"]
-    initial = BookState(
-        bid_price_ticks=init.get("bid_price_ticks", 0),
-        tick=init.get("tick", 1.0),
-        q_bid=init["q_bid"],
-        q_ask=init["q_ask"],
+    initial = _build(
+        "$.initial", BookState, **{"bid_price_ticks": 0, "tick": 1.0, **cfg["initial"]}
     )
     horizon = cfg["horizon"]
 
@@ -427,7 +418,7 @@ _QUEUE_CHECK_SCHEMA = {
             "type": "array",
             "minItems": 2,
             "maxItems": 2,
-            "items": {"type": "number", "exclusiveMinimum": 0},
+            "items": {"type": "number"},
         },
         "reinit": {"type": "object", "open": True},
         "step_count": {"type": "integer", "minimum": 64},
@@ -435,8 +426,13 @@ _QUEUE_CHECK_SCHEMA = {
 }
 
 
-def _queue_marginal_check(flow_spec, qc, seed):
-    """Terminal-marginal KS: rescaled replayed book vs the limit diffusion."""
+def _queue_marginal_check(flow_spec, qc):
+    """Terminal-marginal KS: rescaled replayed book vs the limit diffusion.
+
+    Builds the check from its config block, so a bad block is refused before
+    any draw, and returns it as ``run(seed) -> (checks, detail)``.
+    """
+    validate_schema(qc, _QUEUE_CHECK_SCHEMA, "$.queue_check")
     n = qc.get("n", 2500)
     reps = qc.get("reps", 120)
     horizon = qc.get("horizon", 1.0)
@@ -445,60 +441,59 @@ def _queue_marginal_check(flow_spec, qc, seed):
     step_count = qc.get("step_count", 2048)
     root = math.sqrt(n)
 
-    rule_disc = _reinit_from_config(
-        {**reinit_cfg, "mean_bid": reinit_cfg.get("mean_bid", 1.0) * root,
-         "mean_ask": reinit_cfg.get("mean_ask", 1.0) * root},
-        "$.queue_check.reinit",
-    )
     rule_diff = _reinit_from_config(reinit_cfg, "$.queue_check.reinit")
+    rule_disc = _reinit_from_config(reinit_cfg, "$.queue_check.reinit", mean_scale=root)
     # The book's sizes are rescaled by sqrt(n) and its time by n, so its
     # drift is sqrt(n) times the flow's; the covariance is unchanged.
     mu, sigma = flow_limit_params(flow_spec)
-    params = _params_from_target(root * mu, sigma)
-    initial = BookState(
-        bid_price_ticks=0, tick=1.0, q_bid=root * x0[0], q_ask=root * x0[1]
+    params = _build("$.flow", _params_from_target, root * mu, sigma)
+    initial = _build(
+        "$.queue_check.initial", BookState, 0, 1.0, q_bid=root * x0[0], q_ask=root * x0[1]
     )
 
-    disc = np.empty((reps, 2))
-    diff = np.empty((reps, 2))
-    for rep in range(reps):
-        events = gen_flow(flow_spec, n * horizon, child_seed(seed, "qmarg-flow", rep))
-        path, _ = replay(events, initial, rule_disc, substream(seed, "qmarg-reinit", rep))
-        disc[rep] = path.samples[-1, 1:] / root
-        limit_path = simulate_Q(
-            params,
-            rule_diff,
-            (x0[0], x0[1]),
-            horizon,
-            step=horizon / step_count,
-            seed=child_seed(seed, "qmarg-diff", rep),
-        )
-        diff[rep] = limit_path.samples[-1, 1:]
-
-    # 1% critical value: this is a coarse secondary diagnostic, and two
-    # coordinates at the 5% level would false-alarm one run in ten
-    ks_critical = 1.63 * math.sqrt(2.0 / reps)
-    checks = []
-    for j, name in enumerate(("bid", "ask")):
-        d = float(stats.ks_2samp(disc[:, j], diff[:, j]).statistic)
-        checks.append(
-            ValidationReport(
-                metric=f"queue_terminal_ks_{name}",
-                observed=d,
-                reference=0.0,
-                tolerance=ks_critical,
-                passed=d <= ks_critical,
+    def run(seed):
+        disc = np.empty((reps, 2))
+        diff = np.empty((reps, 2))
+        for rep in range(reps):
+            events = gen_flow(flow_spec, n * horizon, child_seed(seed, "qmarg-flow", rep))
+            path, _ = replay(events, initial, rule_disc, substream(seed, "qmarg-reinit", rep))
+            disc[rep] = path.samples[-1, 1:] / root
+            limit_path = simulate_Q(
+                params,
+                rule_diff,
+                (x0[0], x0[1]),
+                horizon,
+                step=horizon / step_count,
+                seed=child_seed(seed, "qmarg-diff", rep),
             )
-        )
-    detail = {
-        "n": n,
-        "reps": reps,
-        "horizon": horizon,
-        "ks_critical": ks_critical,
-        "discrete_mean": disc.mean(axis=0).tolist(),
-        "diffusion_mean": diff.mean(axis=0).tolist(),
-    }
-    return checks, detail
+            diff[rep] = limit_path.samples[-1, 1:]
+
+        # 1% critical value: this is a coarse secondary diagnostic, and two
+        # coordinates at the 5% level would false-alarm one run in ten
+        ks_critical = 1.63 * math.sqrt(2.0 / reps)
+        checks = []
+        for j, name in enumerate(("bid", "ask")):
+            d = float(stats.ks_2samp(disc[:, j], diff[:, j]).statistic)
+            checks.append(
+                ValidationReport(
+                    metric=f"queue_terminal_ks_{name}",
+                    observed=d,
+                    reference=0.0,
+                    tolerance=ks_critical,
+                    passed=d <= ks_critical,
+                )
+            )
+        detail = {
+            "n": n,
+            "reps": reps,
+            "horizon": horizon,
+            "ks_critical": ks_critical,
+            "discrete_mean": disc.mean(axis=0).tolist(),
+            "diffusion_mean": diff.mean(axis=0).tolist(),
+        }
+        return checks, detail
+
+    return run
 
 
 def cmd_validate_fclt(args):
@@ -512,6 +507,8 @@ def cmd_validate_fclt(args):
     reps = _resolve_paths(args, cfg, "reps", 400)
     horizon = cfg.get("horizon", 1.0)
     cov_tol = cfg.get("cov_tol", 0.05)
+    qc_cfg = cfg.get("queue_check", {})
+    queue_check = None if qc_cfg is False else _queue_marginal_check(flow_spec, qc_cfg)
 
     t_net = time.perf_counter()
     reports = net_flow_fclt_check(flow_spec, ladder, horizon=horizon, seed=seed, reps=reps)
@@ -567,13 +564,11 @@ def cmd_validate_fclt(args):
             )
         )
 
-    qc_cfg = cfg.get("queue_check", {})
     queue_detail = None
     qc_seconds = 0.0
-    if qc_cfg is not False:
-        validate_schema(qc_cfg, _QUEUE_CHECK_SCHEMA, "$.queue_check")
+    if queue_check is not None:
         t_qc = time.perf_counter()
-        qc_checks, queue_detail = _queue_marginal_check(flow_spec, qc_cfg, seed)
+        qc_checks, queue_detail = queue_check(seed)
         qc_seconds = time.perf_counter() - t_qc
         checks.extend(qc_checks)
 

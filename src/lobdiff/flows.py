@@ -57,6 +57,9 @@ __all__ = [
 # Declarative positive distributions
 
 
+_DIST_KINDS = ("constant", "exponential", "lognormal", "pareto", "uniform")
+
+
 @dataclass(frozen=True)
 class Dist:
     """A positive distribution named by kind, for sizes/durations/innovations.
@@ -68,6 +71,8 @@ class Dist:
       - "pareto":      alpha (tail exponent), minimum (scale; support [minimum, inf))
       - "uniform":     low, high with 0 < low < high
 
+    Every field must be > 0 and finite, and low < high, whatever the kind:
+    a field the kind does not read must still hold a usable value.
     Declarative rather than callable so specs can round-trip through JSON.
     """
 
@@ -81,22 +86,13 @@ class Dist:
     high: float = 1.5
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.value <= 0:
-                raise ValueError("constant value must be > 0")
-        elif self.kind == "exponential":
-            if self.mean <= 0:
-                raise ValueError("exponential mean must be > 0")
-        elif self.kind == "lognormal":
-            if self.mean <= 0 or self.sigma <= 0:
-                raise ValueError("lognormal needs mean > 0 and sigma > 0")
-        elif self.kind == "pareto":
-            if self.alpha <= 0 or self.minimum <= 0:
-                raise ValueError("pareto needs alpha > 0 and minimum > 0")
-        elif self.kind == "uniform":
-            if not 0 < self.low < self.high:
-                raise ValueError("uniform needs 0 < low < high")
-        else:
+        for name in ("value", "mean", "sigma", "alpha", "minimum", "low", "high"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        if not self.low < self.high:
+            raise ValueError(f"need low < high, got low={self.low}, high={self.high}")
+        if self.kind not in _DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def sample(self, rng, size):
@@ -157,8 +153,9 @@ class PoissonFlowSpec:
 
     def __post_init__(self):
         for name in ("lambda_limit", "mu_market", "theta_cancel", "unit_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
     @property
     def total_rate(self):
@@ -308,8 +305,9 @@ class AgentMixSpec:
     flip_market_signs: bool = False
 
     def __post_init__(self):
-        if self.m < 0 or self.l < 0 or self.m + self.l > 1:
-            raise ValueError("need m >= 0, l >= 0, m + l <= 1")
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not (self.m >= 0 and self.l >= 0 and self.m + self.l <= 1):
+            raise ValueError(f"need m >= 0, l >= 0, m + l <= 1, got m={self.m}, l={self.l}")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if not math.isfinite(self.duration_dist.mean_value()):

@@ -6,6 +6,9 @@ produce byte-identical files. JSON documents are written canonically
 (sorted keys, two-space indent) for the same reason. Config validation is
 a small hand-rolled schema walk that reports every violation with a
 JSONPath-style location, e.g. ``$.flow.lambda_limit: expected number``.
+It checks shape (types, required and unknown keys) and the bounds of
+command settings; the rules on model values belong to the model
+constructors, which `cli` calls with the JSON path of their block.
 """
 
 import hashlib
@@ -248,8 +251,6 @@ def _walk(value, schema, path, errors):
             errors.append(f"{path}: must be >= {schema['minimum']}, got {value}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             errors.append(f"{path}: must be > {schema['exclusiveMinimum']}, got {value}")
-        if "maximum" in schema and value > schema["maximum"]:
-            errors.append(f"{path}: must be <= {schema['maximum']}, got {value}")
     if expected == "array":
         if "minItems" in schema and len(value) < schema["minItems"]:
             errors.append(
@@ -280,7 +281,8 @@ def validate_schema(obj, schema, where="$"):
 
     The dialect covers what configs need: type, required/properties (closed
     by default, opt out with "open": true), enum, items/minItems/maxItems, and
-    numeric bounds. Errors carry JSONPath-style locations.
+    lower bounds (minimum, exclusiveMinimum). Errors carry JSONPath-style
+    locations.
     """
     errors = []
     _walk(obj, schema, where, errors)

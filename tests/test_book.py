@@ -1,5 +1,7 @@
 """Tests for the event-driven book state machine and the regulating map."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,7 +14,6 @@ from lobdiff.book import (
     BookState,
     OrderEvent,
     ReinitRule,
-    apply_event,
     exponential_reinit,
     geometric_reinit,
     price_from_hits,
@@ -34,8 +35,15 @@ def fixed_reinit(b_up, a_up, b_down=None, a_down=None):
     )
 
 
+def one_event(book, time, side, delta, rule, rng):
+    """The book after one event, run through `replay` in columnar form."""
+    path, prices = replay(([time], [int(side == ASK)], [delta]), book, rule, rng)
+    q_bid, q_ask = path.samples[-1, 1:].tolist()
+    return BookState(int(prices.price_ticks[-1]), book.tick, q_bid, q_ask)
+
+
 # ---------------------------------------------------------------------------
-# apply_event
+# One event through replay
 
 
 def test_apply_event_depletes_nothing_on_interior_move():
@@ -43,11 +51,11 @@ def test_apply_event_depletes_nothing_on_interior_move():
     rng = np.random.default_rng(SEED)
     rule = exponential_reinit(2.0, 2.0)
 
-    book = apply_event(book, OrderEvent(0.5, ASK, -2.0), rule, rng)
+    book = one_event(book, 0.5, ASK, -2.0, rule, rng)
     assert (book.q_bid, book.q_ask) == (5.0, 1.0)
     assert book.bid_price_ticks == 100
 
-    book = apply_event(book, OrderEvent(0.7, BID, 4.0), rule, rng)
+    book = one_event(book, 0.7, BID, 4.0, rule, rng)
     assert (book.q_bid, book.q_ask) == (9.0, 1.0)
     assert book.bid_price_ticks == 100
 
@@ -58,7 +66,7 @@ def test_apply_event_ask_depletion_moves_price_up_and_redraws_both():
     rng = np.random.default_rng(SEED)
 
     # A sell-side hit of exactly the queue is a depletion (q + delta == 0).
-    book = apply_event(book, OrderEvent(1.0, ASK, -3.0), rule, rng)
+    book = one_event(book, 1.0, ASK, -3.0, rule, rng)
     assert book.bid_price_ticks == 101
     assert (book.q_bid, book.q_ask) == (7.0, 11.0)
 
@@ -68,7 +76,7 @@ def test_apply_event_bid_depletion_moves_price_down():
     rule = fixed_reinit(7.0, 11.0, b_down=2.0, a_down=4.0)
     rng = np.random.default_rng(SEED)
 
-    book = apply_event(book, OrderEvent(1.0, BID, -8.0), rule, rng)
+    book = one_event(book, 1.0, BID, -8.0, rule, rng)
     assert book.bid_price_ticks == 99
     assert (book.q_bid, book.q_ask) == (2.0, 4.0)
 
@@ -79,12 +87,8 @@ def test_depleting_event_is_consumed_whole():
     # how far past zero the event went.
     rule = fixed_reinit(7.0, 11.0)
     rng = np.random.default_rng(SEED)
-    shallow = apply_event(
-        BookState(0, 0.01, 5.0, 3.0), OrderEvent(1.0, ASK, -3.0), rule, rng
-    )
-    deep = apply_event(
-        BookState(0, 0.01, 5.0, 3.0), OrderEvent(1.0, ASK, -300.0), rule, rng
-    )
+    shallow = one_event(BookState(0, 0.01, 5.0, 3.0), 1.0, ASK, -3.0, rule, rng)
+    deep = one_event(BookState(0, 0.01, 5.0, 3.0), 1.0, ASK, -300.0, rule, rng)
     assert (shallow.q_bid, shallow.q_ask) == (deep.q_bid, deep.q_ask) == (7.0, 11.0)
 
 
@@ -99,15 +103,11 @@ def test_pegged_reinit_carries_surviving_queue():
     rng = np.random.default_rng(SEED)
 
     # Price up: half the standing bid queue follows the quote.
-    book = apply_event(
-        BookState(0, 0.01, q_bid=8.0, q_ask=1.0), OrderEvent(1.0, ASK, -1.0), rule, rng
-    )
+    book = one_event(BookState(0, 0.01, q_bid=8.0, q_ask=1.0), 1.0, ASK, -1.0, rule, rng)
     assert (book.q_bid, book.q_ask) == (1.0 + 0.5 * 8.0, 2.0)
 
     # Price down: a quarter of the standing ask queue follows.
-    book = apply_event(
-        BookState(0, 0.01, q_bid=1.0, q_ask=8.0), OrderEvent(1.0, BID, -1.0), rule, rng
-    )
+    book = one_event(BookState(0, 0.01, q_bid=1.0, q_ask=8.0), 1.0, BID, -1.0, rule, rng)
     assert (book.q_bid, book.q_ask) == (3.0, 4.0 + 0.25 * 8.0)
 
 
@@ -122,9 +122,7 @@ def test_pegged_reinit_ignores_overshoot_of_depleted_queue():
         pegged_beta_ask=0.9,
     )
     rng = np.random.default_rng(SEED)
-    book = apply_event(
-        BookState(0, 0.01, q_bid=8.0, q_ask=1.0), OrderEvent(1.0, ASK, -50.0), rule, rng
-    )
+    book = one_event(BookState(0, 0.01, q_bid=8.0, q_ask=1.0), 1.0, ASK, -50.0, rule, rng)
     assert (book.q_bid, book.q_ask) == (1.0 + 0.9 * 8.0, 2.0)
 
 
@@ -139,9 +137,7 @@ def test_general_reinit_uses_pre_state():
         g=g,
     )
     rng = np.random.default_rng(SEED)
-    book = apply_event(
-        BookState(0, 0.01, q_bid=6.0, q_ask=2.0), OrderEvent(1.0, ASK, -2.0), rule, rng
-    )
+    book = one_event(BookState(0, 0.01, q_bid=6.0, q_ask=2.0), 1.0, ASK, -2.0, rule, rng)
     assert_allclose((book.q_bid, book.q_ask), (1.6, 1.0))
 
 
@@ -149,9 +145,7 @@ def test_reinit_rejects_nonpositive_draws():
     rule = fixed_reinit(0.0, 1.0)
     rng = np.random.default_rng(SEED)
     with pytest.raises(ValueError, match="positive"):
-        apply_event(
-            BookState(0, 0.01, 1.0, 1.0), OrderEvent(1.0, ASK, -1.0), rule, rng
-        )
+        one_event(BookState(0, 0.01, 1.0, 1.0), 1.0, ASK, -1.0, rule, rng)
 
 
 def test_order_event_validation():
@@ -169,6 +163,43 @@ def test_book_state_validation():
     with pytest.raises(ValueError):
         BookState(0, 0.01, -1.0, 1.0)
     assert BookState(7, 0.01, 1.0, 1.0).ask_price_ticks == 8
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("field", ["bid_price_ticks", "tick", "q_bid", "q_ask"])
+def test_book_state_rejects_non_finite(field):
+    # NaN passes every `< 0` check; a NaN or infinite queue must not reach replay
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            BookState(**{"bid_price_ticks": 0, "tick": 0.01, "q_bid": 1.0, "q_ask": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("field", ["pegged_beta_bid", "pegged_beta_ask"])
+@pytest.mark.parametrize("variant", ["iid", "pegged"])
+def test_reinit_rule_rejects_non_finite_betas(field, variant):
+    def draw(rng):
+        return (1.0, 1.0)
+
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="pegged betas"):
+            ReinitRule(variant=variant, sampler_up=draw, sampler_down=draw, **{field: bad})
+
+
+@pytest.mark.parametrize("factory", [exponential_reinit, geometric_reinit])
+@pytest.mark.parametrize("field", ["mean_bid", "mean_ask"])
+def test_reinit_factories_reject_bad_means_when_built(factory, field):
+    # Refused when the rule is built, not at the first depletion's draw
+    for bad in (*NON_FINITE, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            factory(**{"mean_bid": 2.0, "mean_ask": 2.0, field: bad})
+    if factory is geometric_reinit:
+        # p = 1 / mean must not exceed 1
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            factory(**{"mean_bid": 2.0, "mean_ask": 2.0, field: 0.5})
+        rule = factory(**{"mean_bid": 2.0, "mean_ask": 2.0, field: 1.0})
+        assert 1.0 in rule.sampler_up(np.random.default_rng(SEED))
 
 
 # ---------------------------------------------------------------------------

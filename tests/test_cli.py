@@ -567,3 +567,105 @@ def test_estimate_slow_tape_names_gamma1(tmp_path, capsys):
     assert run(["estimate", long, "--config", cfg, "--out", tmp_path / "z"]) == 0
     report = json.loads((tmp_path / "z" / "estimate_report.json").read_text())["report"]
     assert report["diagnostics"]["gamma0"] == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# Model values: refused by their constructors, located by the CLI
+
+AGENT_FLOW = {
+    "kind": "agent",
+    "m": 0.2,
+    "l": 0.3,
+    "gamma": 0.5,
+    "duration": {"kind": "exponential", "mean": 1.0},
+    "size": {"kind": "constant", "value": 1.0},
+}
+QUEUE_CHECK = {"n": 16, "reps": 20, "step_count": 64}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("simulate-lob", {**SIM_CFG, "flow": {**SIM_CFG["flow"], "theta_cancel": 0.0}}, "$.flow"),
+        ("simulate-lob", {**SIM_CFG, "reinit": {"kind": "pegged", "beta_bid": 1.0}}, "$.reinit"),
+        ("simulate-lob", {**SIM_CFG, "flow": {**AGENT_FLOW, "gamma": 1.0}}, "$.flow"),
+        ("pup", {**PUP_CFG, "params": {**PUP_CFG["params"], "rho": 1.0}}, "$.params"),
+        ("simulate-lob", {**SIM_CFG, "initial": {"q_bid": 0, "q_ask": 4.0}}, "$.initial"),
+        (
+            "simulate-lob",
+            {**SIM_CFG, "flow": {**AGENT_FLOW, "size": {"kind": "constant", "value": 1.0, "sigma": -1}}},
+            "$.flow.size",
+        ),
+        (
+            "simulate-lob",
+            {**SIM_CFG, "flow": {**AGENT_FLOW, "size": {"kind": "uniform", "low": 2.0, "high": 1.0}}},
+            "$.flow.size",
+        ),
+        # SIM_CFG's horizon depletes the book many times; the first redraw
+        # used to die in numpy with p = 1 / 0.5 > 1
+        ("simulate-lob", {**SIM_CFG, "reinit": {"kind": "geometric", "mean_bid": 0.5}}, "$.reinit"),
+        (
+            "validate-fclt",
+            {**FCLT_CFG, "queue_check": {**QUEUE_CHECK, "initial": [0, 1]}},
+            "$.queue_check.initial",
+        ),
+        ("simulate-lob", {**SIM_CFG, "reinit": {"kind": "exponential", "beta_bid": -1}}, "$.reinit"),
+        (
+            "validate-fclt",
+            {**FCLT_CFG, "queue_check": {**QUEUE_CHECK, "reinit": {"kind": "geometric", "mean_bid": 0.5}}},
+            "$.queue_check.reinit",
+        ),
+        # used to die multiplying the string by sqrt(n)
+        (
+            "validate-fclt",
+            {**FCLT_CFG, "queue_check": {**QUEUE_CHECK, "reinit": {"kind": "exponential", "mean_bid": "x"}}},
+            "$.queue_check.reinit.mean_bid",
+        ),
+        # mixed traders only, split evenly: the limit has rho = -1, which
+        # used to surface as a traceback after the whole ladder had run
+        (
+            "validate-fclt",
+            {**FCLT_CFG, "flow": {**AGENT_FLOW, "m": 0.0, "l": 0.0}, "queue_check": QUEUE_CHECK},
+            "$.flow",
+        ),
+    ],
+    ids=[
+        "theta-cancel-0",
+        "pegged-beta-1",
+        "agent-gamma-1",
+        "rho-1",
+        "initial-q-bid-0",
+        "dist-unread-sigma-neg",
+        "uniform-low-above-high",
+        "geometric-mean-half",
+        "queue-check-initial-0",
+        "exponential-beta-neg",
+        "queue-check-geometric-mean-half",
+        "queue-check-mean-string",
+        "queue-check-degenerate-limit",
+    ],
+)
+def test_refused_model_value_exits_two_before_any_draw(
+    tmp_path, capsys, monkeypatch, command, cfg, where
+):
+    def drew(*args, **kwargs):
+        raise AssertionError(f"{command} drew before refusing its config")
+
+    for name in ("gen_flow", "replay", "net_flow_fclt_check", "simulate_Q", "first_hits", "prob_up_mc"):
+        monkeypatch.setattr(f"lobdiff.cli.{name}", drew)
+    path = write_config(tmp_path, "cfg.json", cfg)
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{command} did not exit within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        code = run([command, "--config", path, "--out", tmp_path / "x"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err

@@ -386,6 +386,41 @@ def test_agent_mixed_legs_share_timestamp_bid_first():
     assert_allclose(ratio, 0.3 / 0.7, rtol=1e-12)
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("field", ["value", "mean", "sigma", "alpha", "minimum", "low", "high"])
+def test_dist_rejects_non_finite_in_every_field(field):
+    # Every field is checked whatever the kind, read by it or not
+    for kind in ("constant", "exponential", "lognormal", "pareto", "uniform"):
+        for bad in NON_FINITE:
+            with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+                Dist(kind, **{field: bad})
+
+
+def test_dist_rejects_low_not_below_high():
+    with pytest.raises(ValueError, match="low < high"):
+        Dist("uniform", low=2.0, high=1.0)
+    with pytest.raises(ValueError, match="low < high"):
+        Dist("constant", value=1.0, low=1.5)
+    with pytest.raises(ValueError, match="unknown distribution kind"):
+        Dist("normal")
+
+
+@pytest.mark.parametrize("field", ["lambda_limit", "mu_market", "theta_cancel", "unit_size"])
+def test_poisson_spec_rejects_non_finite(field):
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            PoissonFlowSpec(**{"lambda_limit": 1.0, "mu_market": 1.0, "theta_cancel": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("field, message", [("m", "m >= 0"), ("l", "l >= 0"), ("gamma", "gamma must lie")])
+def test_agent_spec_rejects_non_finite(field, message):
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match=message):
+            AgentMixSpec(**{"m": 0.2, "l": 0.3, "gamma": 0.5, field: bad})
+
+
 def test_agent_rejects_bad_mix():
     with pytest.raises(ValueError):
         AgentMixSpec(m=0.6, l=0.6, gamma=0.5)
